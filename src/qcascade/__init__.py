@@ -13,9 +13,9 @@ from .cli import (JobError, JobSpec, PipelineError, SynthesisReport, emit,
 from .dihedral import (IDENTITY, DihedralParams, GroupElement, RailPermutation,
                        all_elements, element, evaluate_word, format_element,
                        inv, mul, to_permutation)
-from .quantum import (BlochPoint, Gate, InteractionGraph, QCircuit, apply_gate,
-                      basis_state, bloch_trace, bloch_trace_csv, interaction_graph,
-                      map_to_circuit, rotation_matrix, to_qasm, verify_quantum)
+from .quantum import (BlochPoint, Gate, InteractionGraph, QCircuit, bloch_trace,
+                      bloch_trace_csv, interaction_graph, map_to_circuit,
+                      rotation_matrix, to_qasm, verify_quantum)
 from .spectral import (TruthVector, WalshSpectrum, fwht, modinv, spectrum_exact,
                        spectrum_mod, walsh_matrix)
 from .words import EQB, MGD, CascadeWord, Refl, Rot
@@ -28,7 +28,7 @@ __all__ = [
     "InteractionGraph", "JobError", "JobSpec", "PipelineError", "QCircuit",
     "RailPermutation", "Refl", "Rot", "SynthesisReport", "TruthVector",
     "VerificationReport", "VerificationRow", "WalshSpectrum",
-    "all_elements", "apply_gate", "basis_state", "bloch_trace", "bloch_trace_csv",
+    "all_elements", "bloch_trace", "bloch_trace_csv",
     "canonical_cascade", "detect_symmetry", "element", "emit", "evaluate_word",
     "format_element", "fwht", "interaction_graph", "inv", "map_to_circuit",
     "modinv", "mul", "parse_job", "reduce_by_symmetry", "rotation_matrix",

@@ -12,8 +12,8 @@ from pathlib import Path
 from .cascade import (VerificationReport, canonical_cascade, detect_symmetry,
                       reduce_by_symmetry, simplify, verify_classical)
 from .dihedral import DihedralParams
-from .quantum import (InteractionGraph, QCircuit, bloch_trace_csv, interaction_graph,
-                      map_to_circuit, to_qasm, verify_quantum)
+from .quantum import (CZ, InteractionGraph, QCircuit, angle_text, bloch_trace_csv,
+                      interaction_graph, map_to_circuit, to_qasm, verify_quantum)
 from .spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from .words import EQB, MGD, CascadeWord
 
@@ -71,10 +71,9 @@ def _parse_truth(doc: dict, n: int) -> TruthVector:
             raise JobError("field 'truth': expected a digit string or a list of integers")
         values = tuple(int(c) for c in raw)
     elif isinstance(raw, list):
-        try:
-            values = tuple(int(v) for v in raw)
-        except (TypeError, ValueError):
-            raise JobError("field 'truth': list entries must be integers") from None
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in raw):
+            raise JobError("field 'truth': list entries must be integers")
+        values = tuple(raw)
     else:
         raise JobError(f"field 'truth': expected a string or list, got {type(raw).__name__}")
     if len(values) != 1 << n:
@@ -123,9 +122,17 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
         modulus = _field_int(doc, "modulus") if "modulus" in doc else dihedral_n
         if modulus % 2 == 0 or modulus < 3:
             raise JobError(f"field 'modulus': must be an odd number >= 3, got {modulus}")
+        # residues mod m fold soundly into D_n only when n divides m
+        if modulus % dihedral_n:
+            raise JobError(f"field 'modulus': must be a multiple of dihedral_n={dihedral_n}, "
+                           f"got {modulus}")
         levels = _field_int(doc, "levels") if "levels" in doc else max(2, max(truth.values) + 1)
         if levels < 2:
             raise JobError(f"field 'levels': must be at least 2, got {levels}")
+        # more levels than rails would alias values that differ by dihedral_n
+        if levels > dihedral_n:
+            raise JobError(f"field 'levels': must be at most dihedral_n={dihedral_n}, "
+                           f"got {levels} (truth values must be distinct mod {dihedral_n})")
         bad = [i for i, v in enumerate(truth.values) if not 0 <= v < levels]
         if bad:
             raise JobError(f"field 'truth': values must lie in 0..{levels - 1} "
@@ -152,7 +159,8 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
 
     trace_input = doc.get("trace_input")
     if trace_input is not None:
-        trace_input = str(trace_input)
+        if not isinstance(trace_input, str):
+            raise JobError(f"field 'trace_input': expected a bit string, got {trace_input!r}")
         if len(trace_input) != n or any(c not in "01" for c in trace_input):
             raise JobError(f"field 'trace_input': expected {n} bits, got {trace_input!r}")
 
@@ -161,15 +169,19 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
                    trace_input=trace_input)
 
 
-def parse_job(text: str, allow_large: bool = False) -> JobSpec:
-    """Parse a JSON job document into a fully validated JobSpec."""
+def _load_object(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise JobError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise JobError("job document must be a JSON object")
-    return _job_from_mapping(doc, allow_large=allow_large)
+    return doc
+
+
+def parse_job(text: str, allow_large: bool = False) -> JobSpec:
+    """Parse a JSON job document into a fully validated JobSpec."""
+    return _job_from_mapping(_load_object(text), allow_large=allow_large)
 
 
 def job_to_mapping(job: JobSpec) -> dict:
@@ -210,6 +222,12 @@ class SynthesisReport:
         return self.classical.passed and (self.quantum is None or self.quantum.passed)
 
 
+def _spectrum(job: JobSpec) -> WalshSpectrum:
+    if job.mode == MGD:
+        return spectrum_mod(job.truth, job.modulus)
+    return spectrum_exact(job.truth)
+
+
 def run_pipeline(job: JobSpec) -> SynthesisReport:
     """Spectrum, cascade, simplify, symmetry, map, verify, connectivity."""
     timings: dict[str, float] = {}
@@ -223,12 +241,8 @@ def run_pipeline(job: JobSpec) -> SynthesisReport:
         timings[stage] = time.perf_counter() - t0
         return result
 
-    if job.mode == MGD:
-        params = DihedralParams(job.dihedral_n)
-        spectrum = run("spectrum", lambda: spectrum_mod(job.truth, job.modulus))
-    else:
-        params = None
-        spectrum = run("spectrum", lambda: spectrum_exact(job.truth))
+    params = DihedralParams(job.dihedral_n) if job.mode == MGD else None
+    spectrum = run("spectrum", lambda: _spectrum(job))
     canonical = run("cascade", lambda: canonical_cascade(spectrum, params))
     simplified = run("simplify", lambda: simplify(canonical))
     reduced = None
@@ -257,15 +271,13 @@ def _verification_dict(report: VerificationReport | None):
 
 def report_to_mapping(report: SynthesisReport) -> dict:
     """JSON report body. Deterministic: no timings, no timestamps."""
-    from .quantum import ROTATION_KINDS, _angle_text
-
     gates = []
     for g in report.circuit.gates:
         entry: dict = {"kind": g.kind, "target": g.target}
         if g.control is not None:
             entry["control"] = g.control
-        if g.kind in ROTATION_KINDS:
-            entry["angle"] = _angle_text(g)
+        if g.kind != CZ:
+            entry["angle"] = angle_text(g)
             entry["radians"] = g.angle
         gates.append(entry)
     target = report.word.target_var
@@ -393,13 +405,8 @@ def build_parser() -> CliParser:
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     if args.jobfile:
-        text = sys.stdin.read() if args.jobfile == "-" else Path(args.jobfile).read_text()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise JobError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
-        if not isinstance(doc, dict):
-            raise JobError("job document must be a JSON object")
+        doc = _load_object(sys.stdin.read() if args.jobfile == "-"
+                           else Path(args.jobfile).read_text())
     else:
         doc = {}
         if args.n is None or args.truth is None:
@@ -426,9 +433,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "spectrum":
-        spectrum = (spectrum_mod(job.truth, job.modulus) if job.mode == MGD
-                    else spectrum_exact(job.truth))
-        print(spectrum)
+        print(_spectrum(job))
         return 0
 
     try:

@@ -1,17 +1,17 @@
 """Quantum realization of cascade words.
 
-Conventions: amplitude index bit q (little-endian, qubit 0 is the least
-significant bit) holds qubit q.  Standard layout puts the target ancilla on
-qubit 0 and input variable x_v on qubit v; a symmetry-reduced word drops the
-ancilla, putting x_v on qubit v-1 with the last input as target.  Rotation
-matrices use the half-angle convention, so R(theta + 4*pi) = R(theta)
-exactly and angles are kept in (-2*pi, 2*pi].
+Standard layout puts the target ancilla on qubit 0 and input variable x_v
+on qubit v; a symmetry-reduced word drops the ancilla, putting x_v on qubit
+v-1 with the last input as target.  Every circuit is a star centred on the
+target: RX/RY rotations of the target and CZ gates joining one input qubit
+to it.  Rotation matrices use the half-angle convention, so
+R(theta + 4*pi) = R(theta) exactly and angles are kept in (-2*pi, 2*pi].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -20,19 +20,8 @@ from .cascade import VerificationReport, VerificationRow
 from .spectral import TruthVector
 from .words import EQB, MGD, CascadeWord, Refl, Rot
 
-RX, RY, RZ = "RX", "RY", "RZ"
-X, Z, H = "X", "Z", "H"
-CZ, CNOT = "CZ", "CNOT"
-
-ROTATION_KINDS = frozenset({RX, RY, RZ})
-TWO_QUBIT_KINDS = frozenset({CZ, CNOT})
-GATE_KINDS = ROTATION_KINDS | TWO_QUBIT_KINDS | {X, Z, H}
-
-_FIXED_1Q = {
-    X: np.array([[0, 1], [1, 0]], dtype=complex),
-    Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    H: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
-}
+RX, RY, CZ = "RX", "RY", "CZ"
+GATE_KINDS = frozenset({RX, RY, CZ})
 
 
 def rotation_matrix(axis: str, theta: float) -> np.ndarray:
@@ -52,51 +41,41 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate application.
+    """One gate application: RX or RY on ``target``, or CZ(``control``, ``target``).
 
-    Rotations carry an angle in radians; when the angle is an exact multiple
-    of pi the multiplier is kept in ``pi_frac`` so emitters can print it
-    exactly.  Two-qubit kinds carry a control index.
+    Rotations take their angle as an exact multiple ``pi_frac`` of pi, kept
+    in (-2, 2] so emitters can print it exactly; ``angle`` holds the same
+    angle in radians.
     """
 
     kind: str
     target: int
     control: int | None = None
-    angle: float | None = None
     pi_frac: Fraction | None = None
+    angle: float | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.target < 0 or (self.control is not None and self.control < 0):
             raise ValueError("qubit indices must be non-negative")
-        if self.kind in TWO_QUBIT_KINDS:
+        if self.kind == CZ:
             if self.control is None:
-                raise ValueError(f"{self.kind} needs a control qubit")
+                raise ValueError("CZ needs a control qubit")
             if self.control == self.target:
                 raise ValueError("control and target must differ")
-        elif self.control is not None:
-            raise ValueError(f"{self.kind} takes no control qubit")
-        if self.kind in ROTATION_KINDS:
             if self.pi_frac is not None:
-                f = Fraction(self.pi_frac) % 4
-                if f > 2:
-                    f -= 4
-                object.__setattr__(self, "pi_frac", f)
-                object.__setattr__(self, "angle", float(f) * math.pi)
-            elif self.angle is not None:
-                if not math.isfinite(self.angle):
-                    raise ValueError(f"angle must be finite, got {self.angle}")
-                a = math.fmod(self.angle, 4.0 * math.pi)
-                if a > 2.0 * math.pi:
-                    a -= 4.0 * math.pi
-                elif a <= -2.0 * math.pi:
-                    a += 4.0 * math.pi
-                object.__setattr__(self, "angle", a)
-            else:
-                raise ValueError(f"{self.kind} needs an angle")
-        elif self.angle is not None or self.pi_frac is not None:
-            raise ValueError(f"{self.kind} takes no angle")
+                raise ValueError("CZ takes no angle")
+            return
+        if self.control is not None:
+            raise ValueError(f"{self.kind} takes no control qubit")
+        if self.pi_frac is None:
+            raise ValueError(f"{self.kind} needs an angle")
+        f = Fraction(self.pi_frac) % 4
+        if f > 2:
+            f -= 4
+        object.__setattr__(self, "pi_frac", f)
+        object.__setattr__(self, "angle", float(f) * math.pi)
 
 
 @dataclass(frozen=True)
@@ -174,92 +153,40 @@ def map_to_circuit(word: CascadeWord, basis: str = "X", levels: int | None = Non
                     layout=tuple(sorted(qubit_of.items())))
 
 
-# index caches keyed by (num_qubits, qubits...); a session touches only a
-# handful of shapes so these never grow large
-_BIT_INDICES: dict[tuple[int, int], np.ndarray] = {}
-_PAIR_INDICES: dict[tuple[int, int, int], np.ndarray] = {}
-_ROT_MATRICES: dict[tuple[str, float], np.ndarray] = {}
+def _target_register(circuit: QCircuit, rows: np.ndarray):
+    """Simulate a target-centred star circuit on many input rows at once.
 
-
-def _bit_indices(num_qubits: int, q: int) -> np.ndarray:
-    key = (num_qubits, q)
-    if key not in _BIT_INDICES:
-        idx = np.arange(1 << num_qubits)
-        _BIT_INDICES[key] = np.nonzero((idx >> q) & 1)[0]
-    return _BIT_INDICES[key]
-
-
-def _pair_indices(num_qubits: int, a: int, b: int) -> np.ndarray:
-    a, b = min(a, b), max(a, b)
-    key = (num_qubits, a, b)
-    if key not in _PAIR_INDICES:
-        idx = np.arange(1 << num_qubits)
-        _PAIR_INDICES[key] = np.nonzero(((idx >> a) & 1) & ((idx >> b) & 1))[0]
-    return _PAIR_INDICES[key]
-
-
-def _rotation_for(gate: Gate) -> np.ndarray:
-    key = (gate.kind, gate.angle)
-    if key not in _ROT_MATRICES:
-        _ROT_MATRICES[key] = rotation_matrix(gate.kind[-1], gate.angle)
-    return _ROT_MATRICES[key]
-
-
-def _mix_single(buf: np.ndarray, mat: np.ndarray, q: int, num_qubits: int) -> None:
-    psi = buf.reshape(1 << (num_qubits - q - 1), 2, 1 << q)
-    a = psi[:, 0, :].copy()
-    b = psi[:, 1, :]
-    psi[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
-    psi[:, 1, :] = mat[1, 0] * a + mat[1, 1] * b
-
-
-def _apply_inplace(buf: np.ndarray, gate: Gate, num_qubits: int) -> None:
-    if gate.kind in ROTATION_KINDS:
-        _mix_single(buf, _rotation_for(gate), gate.target, num_qubits)
-    elif gate.kind in _FIXED_1Q:
-        _mix_single(buf, _FIXED_1Q[gate.kind], gate.target, num_qubits)
-    elif gate.kind == CZ:
-        buf[_pair_indices(num_qubits, gate.control, gate.target)] *= -1
-    elif gate.kind == CNOT:
-        sel = _bit_indices(num_qubits, gate.control)
-        # fancy-index RHS gathers before the scatter, so this swaps in place
-        buf[sel] = buf[sel ^ (1 << gate.target)]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-
-
-def _num_qubits_of(state: np.ndarray) -> int:
-    size = state.shape[0]
-    n = size.bit_length() - 1
-    if state.ndim != 1 or size != 1 << n:
-        raise ValueError(f"state length must be a power of two, got shape {state.shape}")
-    return n
-
-
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Pure gate application: returns a new statevector."""
-    num_qubits = _num_qubits_of(state)
-    hi = gate.target if gate.control is None else max(gate.target, gate.control)
-    if hi >= num_qubits:
-        raise ValueError(f"gate touches qubit {hi}, state has {num_qubits} qubits")
-    out = np.array(state, dtype=complex)
-    _apply_inplace(out, gate, num_qubits)
-    return out
-
-
-def basis_state(num_qubits: int, index: int) -> np.ndarray:
-    if not 0 <= index < (1 << num_qubits):
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    state = np.zeros(1 << num_qubits, dtype=complex)
-    state[index] = 1.0
-    return state
-
-
-def _input_index(circuit: QCircuit, bits) -> int:
-    index = 0
-    for v, q in circuit.layout:
-        index |= (int(bits[v - 1]) & 1) << q
-    return index
+    ``rows`` holds one assignment per row, x_v in column v - 1.  Every gate
+    must touch the target: rotations act on it alone and each CZ joins it to
+    one other qubit.  The other qubits then stay in the basis state the row
+    sets (|0> when no input sits on them), so the target's two amplitudes
+    are the whole state of a row and a CZ flips the sign of |1> on the rows
+    where the other qubit is 1.  Yields ("init", amp) and then (gate kind,
+    amp) after each gate, where amp is one (rows, 2) complex array updated
+    in place.
+    """
+    target = circuit.target_qubit
+    bit_of = {q: rows[:, v - 1] for v, q in circuit.layout}
+    amp = np.zeros((len(rows), 2), dtype=complex)
+    amp[np.arange(len(rows)), bit_of.get(target, 0)] = 1.0
+    yield "init", amp
+    for gate in circuit.gates:
+        if gate.kind == CZ:
+            if target not in (gate.target, gate.control):
+                raise ValueError(f"CZ on q[{gate.control}],q[{gate.target}] misses "
+                                 f"the target q[{target}]")
+            other = gate.control if gate.target == target else gate.target
+            if other in bit_of:
+                amp[bit_of[other] == 1, 1] *= -1
+        else:
+            if gate.target != target:
+                raise ValueError(f"{gate.kind} on q[{gate.target}] is off the target q[{target}]")
+            mat = rotation_matrix(gate.kind[-1], gate.angle)
+            a = amp[:, 0].copy()
+            b = amp[:, 1]
+            amp[:, 0] = mat[0, 0] * a + mat[0, 1] * b
+            amp[:, 1] = mat[1, 0] * a + mat[1, 1] * b
+        yield gate.kind, amp
 
 
 def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> VerificationReport:
@@ -267,21 +194,16 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> 
     require the target qubit to read F(x) with probability >= 1 - tol."""
     if not truth.is_boolean:
         raise ValueError("quantum verification expects a Boolean truth vector")
-    num_qubits = circuit.num_qubits
-    target = circuit.target_qubit
-    ones = _bit_indices(num_qubits, target)
-    state = np.empty(1 << num_qubits, dtype=complex)
-    rows = []
-    for bits in truth.assignments():
-        state[:] = 0.0
-        state[_input_index(circuit, bits)] = 1.0
-        for gate in circuit.gates:
-            _apply_inplace(state, gate, num_qubits)
-        p_one = float(np.sum(np.abs(state[ones]) ** 2))
-        want = truth.value_at(bits)
-        p_want = p_one if want else 1.0 - p_one
-        rows.append(VerificationRow(bits, str(want), f"p={p_want:.12g}", p_want >= 1.0 - tol))
-    return VerificationReport("quantum", tuple(rows))
+    n = truth.n
+    rows = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    for _, amp in _target_register(circuit, rows):
+        pass
+    report_rows = []
+    for bits, want, p_one in zip(truth.assignments(), truth.values, np.abs(amp[:, 1]) ** 2):
+        p_want = float(p_one) if want else 1.0 - float(p_one)
+        report_rows.append(VerificationRow(bits, str(want), f"p={p_want:.12g}",
+                                           p_want >= 1.0 - tol))
+    return VerificationReport("quantum", tuple(report_rows))
 
 
 @dataclass(frozen=True)
@@ -292,12 +214,8 @@ class BlochPoint:
     phi: float
 
 
-def _target_point(state: np.ndarray, num_qubits: int, target: int) -> BlochPoint:
-    psi = state.reshape(1 << (num_qubits - target - 1), 2, 1 << target)
-    rho = np.einsum("iaj,ibj->ab", psi, psi.conj())
-    purity = float(np.trace(rho @ rho).real)
-    if abs(purity - 1.0) > 1e-9:
-        raise ValueError(f"target qubit is entangled (purity {purity:.6f}), Bloch point undefined")
+def _bloch_point(amp: np.ndarray) -> BlochPoint:
+    rho = np.outer(amp, amp.conj())
     z = min(1.0, max(-1.0, float(rho[0, 0].real - rho[1, 1].real)))
     x = 2.0 * float(rho[0, 1].real)
     y = -2.0 * float(rho[0, 1].imag)
@@ -307,20 +225,13 @@ def _target_point(state: np.ndarray, num_qubits: int, target: int) -> BlochPoint
 
 
 def _traced(circuit: QCircuit, assignment) -> list[tuple[str, BlochPoint]]:
-    num_qubits = circuit.num_qubits
-    target = circuit.target_qubit
-    state = basis_state(num_qubits, _input_index(circuit, assignment))
-    points = [("init", _target_point(state, num_qubits, target))]
-    for gate in circuit.gates:
-        _apply_inplace(state, gate, num_qubits)
-        if gate.target == target or gate.control == target:
-            points.append((gate.kind, _target_point(state, num_qubits, target)))
-    return points
+    rows = np.array([[int(b) & 1 for b in assignment]], dtype=np.int64)
+    return [(label, _bloch_point(amp[0])) for label, amp in _target_register(circuit, rows)]
 
 
 def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:
     """Target-qubit Bloch coordinates: the initial state, then one point per
-    gate that touches the target."""
+    gate.  Every gate must touch the target, as in ``verify_quantum``."""
     return [point for _, point in _traced(circuit, assignment)]
 
 
@@ -347,7 +258,7 @@ def interaction_graph(circuit: QCircuit) -> InteractionGraph:
     An empty edge set is trivially a star and triangle-free.
     """
     edges = sorted({(min(g.control, g.target), max(g.control, g.target))
-                    for g in circuit.gates if g.kind in TWO_QUBIT_KINDS})
+                    for g in circuit.gates if g.kind == CZ})
     adjacency: dict[int, set[int]] = {}
     for u, v in edges:
         adjacency.setdefault(u, set()).add(v)
@@ -365,19 +276,15 @@ def interaction_graph(circuit: QCircuit) -> InteractionGraph:
     return InteractionGraph(tuple(edges), is_star, triangle_free, centers)
 
 
-def _angle_text(gate: Gate) -> str:
-    if gate.pi_frac is not None:
-        num, den = gate.pi_frac.numerator, gate.pi_frac.denominator
-        if num == 0:
-            return "0"
-        sign = "-" if num < 0 else ""
-        head = "pi" if abs(num) == 1 else f"{abs(num)}*pi"
-        tail = f"/{den}" if den != 1 else ""
-        return f"{sign}{head}{tail}"
-    return f"{gate.angle:.15g}"
-
-
-_QASM_NAMES = {RX: "rx", RY: "ry", RZ: "rz", X: "x", Z: "z", H: "h", CZ: "cz", CNOT: "cx"}
+def angle_text(gate: Gate) -> str:
+    """A rotation's angle as exact text in units of pi, e.g. "-3*pi/4"."""
+    num, den = gate.pi_frac.numerator, gate.pi_frac.denominator
+    if num == 0:
+        return "0"
+    sign = "-" if num < 0 else ""
+    head = "pi" if abs(num) == 1 else f"{abs(num)}*pi"
+    tail = f"/{den}" if den != 1 else ""
+    return f"{sign}{head}{tail}"
 
 
 def to_qasm(circuit: QCircuit) -> str:
@@ -386,11 +293,8 @@ def to_qasm(circuit: QCircuit) -> str:
     layout = "; ".join(f"x{v} -> q[{q}]" for v, q in circuit.layout)
     lines.append(f"// target: q[{circuit.target_qubit}]" + (f"; {layout}" if layout else ""))
     for g in circuit.gates:
-        name = _QASM_NAMES[g.kind]
-        if g.kind in ROTATION_KINDS:
-            lines.append(f"{name}({_angle_text(g)}) q[{g.target}];")
-        elif g.kind in TWO_QUBIT_KINDS:
-            lines.append(f"{name} q[{g.control}],q[{g.target}];")
+        if g.kind == CZ:
+            lines.append(f"cz q[{g.control}],q[{g.target}];")
         else:
-            lines.append(f"{name} q[{g.target}];")
+            lines.append(f"{g.kind.lower()}({angle_text(g)}) q[{g.target}];")
     return "\n".join(lines) + "\n"

@@ -10,9 +10,9 @@ the truth-table row index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
     from .dihedral import DihedralParams
@@ -99,10 +99,3 @@ class CascadeWord:
     def __str__(self) -> str:
         return " ".join(str(letter) for letter in self.letters)
 
-
-def rotations(word: CascadeWord) -> Iterable[Rot]:
-    return (letter for letter in word.letters if isinstance(letter, Rot))
-
-
-def reflections(word: CascadeWord) -> Iterable[Refl]:
-    return (letter for letter in word.letters if isinstance(letter, Refl))

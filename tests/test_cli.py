@@ -1,8 +1,11 @@
+import hashlib
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcascade.cascade import VerificationReport, VerificationRow
 from qcascade.cli import (EMIT_TARGETS, JobError, JobSpec, PipelineError, emit,
@@ -61,6 +64,10 @@ def test_parse_job_accepts_large_n_only_when_forced():
     ('{"n": 2, "truth": "011"}', "expected 4 entries"),
     ('{"n": 2, "truth": "01a0"}', "digit string"),
     ('{"n": 2, "truth": [0, 1, "x", 0]}', "must be integers"),
+    ('{"n": 2, "truth": [0, 1, 1, 0.9]}', "must be integers"),
+    ('{"n": 2, "truth": [0, 1, 1, " 0"]}', "must be integers"),
+    ('{"n": 2, "truth": [0, 1, 1, true]}', "must be integers"),
+    ('{"n": 2, "truth": [0, 1, 1, Infinity]}', "must be integers"),
     ('{"n": 2, "truth": {"0": 1}}', "expected a string or list"),
     ('{"n": 2, "truth": "0110", "dihedral_n": 3}', "only valid in MGD"),
     ('{"n": 1, "truth": [0, 2]}', "must be 0 or 1"),
@@ -68,6 +75,11 @@ def test_parse_job_accepts_large_n_only_when_forced():
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 4}', "odd prime"),
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 2}', "odd prime"),
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3, "modulus": 6}', "odd"),
+    ('{"n": 3, "truth": "01201021", "mode": "mgd", "dihedral_n": 3, "modulus": 5}',
+     "multiple of dihedral_n=3"),
+    ('{"n": 2, "truth": "0340", "mode": "mgd", "dihedral_n": 3}', "at most dihedral_n=3"),
+    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3, "levels": 4}',
+     "at most dihedral_n=3"),
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3, "levels": 1}', "at least 2"),
     ('{"n": 1, "truth": [0, 3], "mode": "mgd", "dihedral_n": 3, "levels": 2}', "0..1"),
     ('{"n": 2, "truth": "0110", "basis": "z"}', "'basis'"),
@@ -76,6 +88,7 @@ def test_parse_job_accepts_large_n_only_when_forced():
     ('{"n": 2, "truth": "0110", "emit": ["png"]}', "unknown target"),
     ('{"n": 2, "truth": "0110", "trace_input": "1"}', "expected 2 bits"),
     ('{"n": 2, "truth": "0110", "trace_input": "1x"}', "expected 2 bits"),
+    ('{"n": 2, "truth": "0110", "trace_input": 10}', "expected a bit string"),
 ])
 def test_parse_job_diagnostics(text, needle):
     with pytest.raises(JobError, match=needle):
@@ -90,6 +103,72 @@ def test_job_round_trips_through_mapping():
                  '"basis": "y", "symmetry": false}'):
         job = parse_job(text)
         assert parse_job(json.dumps(job_to_mapping(job))) == job
+
+
+# integers stay within 2**40 because the parser tests dihedral_n for primality
+# by trial division, whose cost grows with the square root of the value
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**40, 2**40) | st.floats()
+                 | st.text(max_size=6))
+_JSON_VALUES = st.recursive(_JSON_SCALARS,
+                            lambda inner: st.lists(inner, max_size=4)
+                            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                            max_leaves=8)
+# each field draws mostly near-valid values, so that documents get past the
+# early checks and reach the later ones
+_FIELDS = {
+    "n": st.integers(-1, 4),
+    "truth": st.text("01234567", max_size=17)
+    | st.lists(st.integers(-1, 8) | st.sampled_from([0.9, " 0", True, math.inf]) | _JSON_SCALARS,
+               max_size=17),
+    "mode": st.sampled_from(["eqb", "mgd", "MGD", "qft"]),
+    "dihedral_n": st.integers(-1, 12),
+    "modulus": st.integers(-1, 40),
+    "levels": st.integers(-1, 9),
+    "basis": st.sampled_from(["x", "y", "Y", "z"]),
+    "symmetry": st.booleans(),
+    "emit": st.lists(st.sampled_from(EMIT_TARGETS + ("png",)), max_size=3)
+    | st.sampled_from(["word,qasm", "json,", ""]),
+    "trace_input": st.text("01x", max_size=5),
+}
+_REQUIRED = ("n", "truth")
+_JOB_DOCS = (st.fixed_dictionaries({k: _FIELDS[k] for k in _REQUIRED},
+                                   optional={k: v | _JSON_VALUES for k, v in _FIELDS.items()
+                                             if k not in _REQUIRED})
+             | st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4))
+
+
+@st.composite
+def _valid_jobs(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        mode, dihedral_n, modulus, levels, top = EQB, None, None, None, 1
+    else:
+        dihedral_n = draw(st.sampled_from([3, 5, 7]))
+        modulus = dihedral_n * draw(st.sampled_from([1, 3, 5]))
+        levels = draw(st.integers(2, dihedral_n))
+        mode, top = MGD, levels - 1
+    values = draw(st.lists(st.integers(0, top), min_size=1 << n, max_size=1 << n))
+    return JobSpec(n=n, truth=TruthVector(n, tuple(values)), mode=mode, dihedral_n=dihedral_n,
+                   modulus=modulus, levels=levels, basis=draw(st.sampled_from("XY")),
+                   symmetry=draw(st.booleans()),
+                   emit=tuple(draw(st.lists(st.sampled_from(EMIT_TARGETS), max_size=4))),
+                   trace_input=draw(st.none() | st.text("01", min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JOB_DOCS)
+def test_parse_job_any_json_object_gives_job_or_job_error(doc):
+    try:
+        job = parse_job(json.dumps(doc))
+    except JobError:
+        return
+    assert isinstance(job, JobSpec)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_valid_jobs())
+def test_parse_job_inverts_job_to_mapping(job):
+    assert parse_job(json.dumps(job_to_mapping(job))) == job
 
 
 def test_run_pipeline_xor_reduces_and_passes():
@@ -201,6 +280,46 @@ def test_emitted_files_are_byte_identical_across_runs(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+# sha256 of the files `synth --emit word,qasm,json,bloch-csv` writes, pinned
+# from the earlier simulator that ran each input row on the full statevector:
+# the target-register simulator must write the same bytes
+GOLDEN_EMIT = {
+    ("--n", "3", "--truth", "01101001", "--input", "101"): {
+        "word.txt": "a3bfa3139c4c160efcd4408ed070a7fa9e7bfc9762a309af9e44f7130f650597",
+        "circuit.qasm": "d6eecabda42d20df169dce58ce489987ca2cf9bd5ecc0f3f7deebcbf4383dcee",
+        "report.json": "fabbf5464c3dddcd51cd2f548f844414c6a1b22c1ef4d9837e618bf10616b88e",
+        "trace.csv": "3c79aa13d3a81a1ee59902903197fd3ea1482025e8eb00ba33eb5b03c04352ee",
+    },
+    ("--n", "4", "--truth", "0110100110010110", "--basis", "y", "--input", "0111"): {
+        "word.txt": "59dca8fed53a95f945abccdd9b3cf0becf38f9574457f8f945dba52f8ab9c4e8",
+        "circuit.qasm": "80f3c61153663c273baac678c0ead4ca02fcdc9bbf2e07bad71d9f17dc591106",
+        "report.json": "86555f60cb5247d6b6a4c046f7b53ff3af61e20471d8556f82b641d9e5795fb6",
+        "trace.csv": "eed6c37878a19936753ad4183ecf83980939b73ec01ee16fdde6fd5c4098b6fb",
+    },
+    ("--n", "4", "--truth", "0111010011101000", "--input", "1100"): {
+        "word.txt": "f72ebb4e8b2fed64bcfc145d25a8741bb50e28484c2aa98cf551030148495b83",
+        "circuit.qasm": "78f3b4fa7bbb3cb1aea578e4b1901089f644bf5fa54f0a179bc01c45dc2b1af9",
+        "report.json": "56a3d63d8a481942e23dd49aac414f533d568c7a3e4bec4ebee4db91de3019c2",
+        "trace.csv": "2043bf5e9436b3b31fe6ea0af2fdf40e53f9ef0e9bc73d652d1dced76cc075f4",
+    },
+    ("--n", "3", "--truth", "04213043", "--mode", "mgd", "--dihedral-n", "5", "--input", "010"): {
+        "word.txt": "661a7e2496aaff88666ecbdf7b91a802bdba4e3f0b5a2f690cb55538619cc7ff",
+        "circuit.qasm": "1597ec513522d3e687d203711b7aa07caa86f0340f7381d07097eee27acb6415",
+        "report.json": "ce1e67c0ef697a09ad27f3946c2fe4af69558780d387ab347aa24f00a206e23e",
+        "trace.csv": "5a484773f7faef87cc1fbb5b1677c11793cbe89f0efc93bc1ec620e197f0126d",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN_EMIT), ids=lambda flags: flags[3])
+def test_emitted_files_match_pinned_hashes(flags, tmp_path, capsys):
+    argv = ["synth", *flags, "--emit", "word,qasm,json,bloch-csv", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_EMIT[flags]}
+    assert got == GOLDEN_EMIT[flags]
+
+
 def test_main_synth_inline_flags(capsys):
     assert main(["synth", "--n", "2", "--truth", "0110"]) == 0
     out = capsys.readouterr().out
@@ -274,6 +393,10 @@ def test_main_usage_errors_exit_one(capsys):
     assert main(["synth", "--n", "2", "--truth", "011"]) == 1
     assert "expected 4 entries" in capsys.readouterr().err
     assert main(["synth", "/no/such/job.json"]) == 1
+    for flags in (["--n", "3", "--truth", "01201021", "--modulus", "5"],
+                  ["--n", "2", "--truth", "0340"]):
+        assert main(["synth", *flags, "--mode", "mgd", "--dihedral-n", "3"]) == 1
+        assert "qcascade: error: field" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         main(["bogus-command"])
     assert info.value.code == 1
@@ -288,6 +411,9 @@ def test_main_bad_json_reports_position(tmp_path, capsys):
     jobfile.write_text('{"n": 2,\n "truth": }')
     assert main(["synth", str(jobfile)]) == 1
     assert "invalid JSON at line 2" in capsys.readouterr().err
+    jobfile.write_text('{"n": 1, "truth": [0, Infinity]}')
+    assert main(["synth", str(jobfile)]) == 1
+    assert "qcascade: error: field 'truth'" in capsys.readouterr().err
 
 
 def test_main_verification_failure_exits_two(monkeypatch, capsys):

@@ -6,13 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcascade.cascade import canonical_cascade, reduce_by_symmetry, simplify, verify_classical
+from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry, simplify,
+                              verify_classical)
 from qcascade.dihedral import DihedralParams
-from qcascade.quantum import (CNOT, CZ, RX, RY, RZ, BlochPoint, Gate, QCircuit, apply_gate,
-                              basis_state, bloch_trace, bloch_trace_csv, interaction_graph,
-                              map_to_circuit, rotation_matrix, to_qasm, verify_quantum)
+from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, _target_register,
+                              bloch_trace, bloch_trace_csv, interaction_graph, map_to_circuit,
+                              rotation_matrix, to_qasm, verify_quantum)
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
+from reference_statevector import p_one, verify_rows
 
 XOR2 = TruthVector.from_bits("0110")
 
@@ -88,96 +90,69 @@ def test_gate_normalizes_pi_frac_into_window():
     assert Gate(RX, 0, pi_frac=Fraction(-2)).pi_frac == Fraction(2)
 
 
-def test_gate_normalizes_raw_angle():
-    g = Gate(RY, 1, angle=7 * math.pi)
-    assert math.isclose(g.angle, -math.pi, rel_tol=0, abs_tol=1e-12)
-    assert g.pi_frac is None
-    assert math.isclose(Gate(RY, 1, angle=-2 * math.pi).angle, 2 * math.pi,
-                        rel_tol=0, abs_tol=1e-12)
-
-
 def test_gate_validation_errors():
-    with pytest.raises(ValueError):
-        Gate("SWAP", 0)
+    for kind in ("SWAP", "X", "H", "RZ", "CNOT"):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            Gate(kind, 0, pi_frac=Fraction(1))
     with pytest.raises(ValueError):
         Gate(RX, 0)
     with pytest.raises(ValueError):
-        Gate(RX, 0, angle=math.nan)
-    with pytest.raises(ValueError):
-        Gate("X", 0, angle=1.0)
+        Gate(RX, 0, pi_frac=math.nan)
+    with pytest.raises(TypeError):
+        Gate(RX, 0, angle=1.0)
     with pytest.raises(ValueError):
         Gate(CZ, 0)
     with pytest.raises(ValueError):
         Gate(CZ, 0, control=0)
     with pytest.raises(ValueError):
-        Gate("X", 0, control=1)
+        Gate(CZ, 0, control=1, pi_frac=Fraction(1))
     with pytest.raises(ValueError):
-        Gate("X", -1)
+        Gate(RX, 0, control=1, pi_frac=Fraction(1))
+    with pytest.raises(ValueError):
+        Gate(RY, -1, pi_frac=Fraction(1))
 
 
 def test_circuit_validation():
+    rx = Gate(RX, 0, pi_frac=Fraction(1, 2))
     with pytest.raises(ValueError):
         QCircuit(0, (), 0)
     with pytest.raises(ValueError):
         QCircuit(2, (), 2)
     with pytest.raises(ValueError):
-        QCircuit(1, (Gate("X", 1),), 0)
-    circ = QCircuit(2, (Gate("X", 0), Gate(CZ, 0, control=1), Gate("X", 0)), 0)
-    assert circ.gate_counts() == {"X": 2, "CZ": 1}
+        QCircuit(1, (Gate(RX, 1, pi_frac=Fraction(1)),), 0)
+    circ = QCircuit(2, (rx, Gate(CZ, 0, control=1), rx), 0)
+    assert circ.gate_counts() == {RX: 2, CZ: 1}
 
 
-def test_apply_gate_x_flips_addressed_qubit():
-    out = apply_gate(basis_state(2, 0b00), Gate("X", 1))
-    assert np.allclose(out, basis_state(2, 0b10))
-
-
-def test_apply_gate_cz_phases_only_the_11_component():
-    both = apply_gate(basis_state(2, 0b11), Gate(CZ, 0, control=1))
-    assert np.allclose(both, -basis_state(2, 0b11))
-    one = apply_gate(basis_state(2, 0b10), Gate(CZ, 0, control=1))
-    assert np.allclose(one, basis_state(2, 0b10))
-
-
-def test_apply_gate_cnot_swaps_target_conditioned_on_control():
-    out = apply_gate(basis_state(2, 0b01), Gate(CNOT, 1, control=0))
-    assert np.allclose(out, basis_state(2, 0b11))
-    out = apply_gate(out, Gate(CNOT, 1, control=0))
-    assert np.allclose(out, basis_state(2, 0b01))
-
-
-def test_apply_gate_leaves_input_untouched():
-    state = basis_state(1, 0)
-    apply_gate(state, Gate("H", 0))
-    assert np.allclose(state, basis_state(1, 0))
-
-
-def test_apply_gate_bounds_and_shape_checks():
-    with pytest.raises(ValueError):
-        apply_gate(basis_state(1, 0), Gate("X", 1))
-    with pytest.raises(ValueError):
-        apply_gate(np.ones(3, dtype=complex), Gate("X", 0))
+def _random_star_circuit(rng, n, target_is_input):
+    """RX/RY rotations of the target and CZ gates from inputs to it, with
+    random pi_frac angles, in either of the two layouts map_to_circuit uses."""
+    if target_is_input:
+        layout, target, num_qubits = tuple((v, v - 1) for v in range(1, n + 1)), n - 1, n
+    else:
+        layout, target, num_qubits = tuple((v, v) for v in range(1, n + 1)), 0, n + 1
+    inputs = [q for _, q in layout if q != target]
+    gates = []
+    for _ in range(rng.randrange(1, 16)):
+        if inputs and rng.random() < 0.4:
+            gates.append(Gate(CZ, target, control=rng.choice(inputs)))
+        else:
+            gates.append(Gate(rng.choice((RX, RY)), target,
+                              pi_frac=Fraction(rng.randrange(-16, 17), rng.randrange(1, 9))))
+    return QCircuit(num_qubits, tuple(gates), target, layout)
 
 
 def test_random_circuits_preserve_norm():
     rng = random.Random(911)
     for _ in range(30):
-        nq = rng.randrange(1, 5)
-        state = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                          for _ in range(1 << nq)])
-        state /= np.linalg.norm(state)
-        for _ in range(12):
-            kind = rng.choice((RX, RY, RZ, "X", "Z", "H", CZ, CNOT))
-            t = rng.randrange(nq)
-            if kind in (CZ, CNOT):
-                if nq == 1:
-                    continue
-                c = rng.choice([q for q in range(nq) if q != t])
-                state = apply_gate(state, Gate(kind, t, control=c))
-            elif kind in (RX, RY, RZ):
-                state = apply_gate(state, Gate(kind, t, angle=rng.uniform(-7, 7)))
-            else:
-                state = apply_gate(state, Gate(kind, t))
-        assert math.isclose(float(np.linalg.norm(state)), 1.0, rel_tol=0, abs_tol=1e-12)
+        n = rng.randrange(1, 5)
+        circ = _random_star_circuit(rng, n, target_is_input=rng.random() < 0.5)
+        rows = np.array(list(itertools.product((0, 1), repeat=n)))
+        for _, amp in _target_register(circ, rows):
+            norms = np.sum(np.abs(amp) ** 2, axis=1)
+            assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
+        for bits, p in zip(rows, np.abs(amp[:, 1]) ** 2):
+            assert math.isclose(p, p_one(circ, bits), rel_tol=0, abs_tol=1e-12)
 
 
 def test_map_to_circuit_standard_layout():
@@ -262,6 +237,48 @@ def test_verify_quantum_matches_classical_for_all_two_var_functions():
         assert verify_quantum(circ, truth).passed
 
 
+def _compiled(truth, basis, reduce):
+    word = reduce_by_symmetry(truth) if reduce else simplify(canonical_cascade(spectrum_exact(truth)))
+    return map_to_circuit(word, basis=basis)
+
+
+def test_verify_quantum_rows_equal_full_statevector_reference():
+    truths = [TruthVector(2, list(values)) for values in itertools.product((0, 1), repeat=4)]
+    rng = random.Random(2410)
+    for n in range(3, 7):
+        truths += [TruthVector(n, [rng.getrandbits(1) for _ in range(1 << n)]) for _ in range(3)]
+        odd = []  # f = x_n xor h: rows 2i and 2i+1 differ
+        for _ in range(1 << (n - 1)):
+            h = rng.getrandbits(1)
+            odd += [h, 1 - h]
+        truths.append(TruthVector(n, odd))
+    for truth in truths:
+        for basis in ("X", "Y"):
+            layouts = (False, True) if detect_symmetry(truth) else (False,)
+            for reduce in layouts:
+                circ = _compiled(truth, basis, reduce)
+                assert verify_quantum(circ, truth).rows == verify_rows(circ, truth).rows
+
+
+OFF_TARGET = {
+    "rotation-off-target": QCircuit(2, (Gate(RX, 1, pi_frac=Fraction(1, 2)),), 0),
+    "cz-misses-target": QCircuit(3, (Gate(RX, 0, pi_frac=Fraction(1, 2)),
+                                     Gate(CZ, 2, control=1)), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_TARGET))
+def test_verify_quantum_rejects_gates_off_the_target(name):
+    with pytest.raises(ValueError, match="target"):
+        verify_quantum(OFF_TARGET[name], TruthVector(0, [0]))
+
+
+@pytest.mark.parametrize("name", sorted(OFF_TARGET))
+def test_bloch_trace_rejects_gates_off_the_target(name):
+    with pytest.raises(ValueError, match="target"):
+        bloch_trace(OFF_TARGET[name], ())
+
+
 def test_bloch_trace_starts_at_pole():
     circ = QCircuit(1, (), 0)
     assert bloch_trace(circ, ()) == [BlochPoint(0.0, 0.0)]
@@ -282,28 +299,12 @@ def test_bloch_trace_ry_lands_on_zero_meridian():
     assert after.phi == 0.0
 
 
-def test_bloch_trace_skips_gates_away_from_target():
-    circ = QCircuit(2, (Gate("X", 0), Gate(RX, 1, pi_frac=Fraction(1)), Gate("X", 0)), 1)
-    points = bloch_trace(circ, (0, 0))
-    assert len(points) == 2
-    assert math.isclose(points[-1].theta, math.pi, rel_tol=0, abs_tol=1e-12)
-    assert points[-1].phi == 0.0
-
-
 def test_bloch_trace_reduced_xor_ends_at_expected_pole():
     circ = reduced_xor_circuit()
     points = bloch_trace(circ, (1, 0))
     assert math.isclose(points[-1].theta, math.pi, rel_tol=0, abs_tol=1e-9)
     points = bloch_trace(circ, (1, 1))
     assert math.isclose(points[-1].theta, 0.0, rel_tol=0, abs_tol=1e-9)
-
-
-def test_bloch_trace_rejects_entangled_target():
-    circ = QCircuit(2, (Gate(RX, 0, pi_frac=Fraction(1, 2)),
-                        Gate("H", 1),
-                        Gate(CZ, 0, control=1)), 0)
-    with pytest.raises(ValueError, match="entangled"):
-        bloch_trace(circ, (0,))
 
 
 def test_bloch_trace_csv_layout():
@@ -324,13 +325,13 @@ def test_interaction_graph_star_for_cascades():
 
 
 def test_interaction_graph_no_edges():
-    graph = interaction_graph(QCircuit(1, (Gate("H", 0),), 0))
+    graph = interaction_graph(QCircuit(1, (Gate(RX, 0, pi_frac=Fraction(1)),), 0))
     assert graph.edges == () and graph.centers == ()
     assert graph.is_star and graph.triangle_free
 
 
 def test_interaction_graph_path_has_middle_center():
-    circ = QCircuit(3, (Gate(CZ, 1, control=0), Gate(CNOT, 2, control=1)), 0)
+    circ = QCircuit(3, (Gate(CZ, 1, control=0), Gate(CZ, 2, control=1)), 0)
     graph = interaction_graph(circ)
     assert graph.edges == ((0, 1), (1, 2))
     assert graph.is_star and graph.centers == (1,)
@@ -347,7 +348,7 @@ def test_interaction_graph_flags_triangle():
 
 
 def test_interaction_graph_deduplicates_edges():
-    circ = QCircuit(2, (Gate(CZ, 0, control=1), Gate(CNOT, 1, control=0)), 0)
+    circ = QCircuit(2, (Gate(CZ, 0, control=1), Gate(CZ, 1, control=0)), 0)
     assert interaction_graph(circ).edges == ((0, 1),)
 
 
@@ -373,12 +374,11 @@ def test_qasm_angle_spellings():
         return to_qasm(QCircuit(1, (gate,), 0)).splitlines()[-1]
 
     assert line(Gate(RX, 0, pi_frac=Fraction(3, 4))) == "rx(3*pi/4) q[0];"
-    assert line(Gate(RZ, 0, pi_frac=Fraction(-1))) == "rz(-pi) q[0];"
+    assert line(Gate(RX, 0, pi_frac=Fraction(-1))) == "rx(-pi) q[0];"
     assert line(Gate(RY, 0, pi_frac=Fraction(2))) == "ry(2*pi) q[0];"
-    assert line(Gate(RX, 0, angle=1.25)) == "rx(1.25) q[0];"
-    assert line(Gate("H", 0)) == "h q[0];"
+    assert line(Gate(RY, 0, pi_frac=Fraction(4))) == "ry(0) q[0];"
 
 
 def test_qasm_two_qubit_line_order():
-    text = to_qasm(QCircuit(2, (Gate(CNOT, 0, control=1),), 0))
-    assert text.splitlines()[-1] == "cx q[1],q[0];"
+    text = to_qasm(QCircuit(2, (Gate(CZ, 0, control=1),), 0))
+    assert text.splitlines()[-1] == "cz q[1],q[0];"
