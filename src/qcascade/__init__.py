@@ -17,7 +17,7 @@ from .quantum import (BlochPoint, Gate, InteractionGraph, QCircuit, bloch_trace,
                       bloch_trace_csv, interaction_graph, map_to_circuit,
                       rotation_matrix, to_qasm, verify_quantum)
 from .spectral import (TruthVector, WalshSpectrum, fwht, modinv, spectrum_exact,
-                       spectrum_mod, walsh_matrix)
+                       spectrum_mod)
 from .words import EQB, MGD, CascadeWord, Refl, Rot
 
 __version__ = "0.1.0"
@@ -34,5 +34,4 @@ __all__ = [
     "modinv", "mul", "parse_job", "reduce_by_symmetry", "rotation_matrix",
     "run_pipeline", "simplify", "spectrum_exact", "spectrum_mod",
     "to_permutation", "to_qasm", "verify_classical", "verify_quantum",
-    "walsh_matrix",
 ]

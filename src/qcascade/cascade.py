@@ -120,17 +120,17 @@ def verify_classical(word: CascadeWord, truth: TruthVector) -> VerificationRepor
     exponent of exactly F(x) (or h(x) with x_n xor h = F(x) when the word is
     retargeted by symmetry), with no residual reflection either way.
     """
+    if word.n_vars != truth.n:
+        raise ValueError(f"word has {word.n_vars} variables, truth vector has {truth.n}")
     rows = []
-    for bits in truth.assignments():
-        want = truth.value_at(bits)
+    for got, want, bits in zip(evaluate_word(word), truth.values, truth.assignments()):
         if word.mode == MGD:
-            got = evaluate_word(word, bits)
             expected = GroupElement(want % word.params.n, False)
             ok = got == expected
             rows.append(VerificationRow(bits, format_element(expected, word.params),
                                         format_element(got, word.params), ok))
         else:
-            net, refl = evaluate_word(word, bits)
+            net, refl = got
             if word.target_var is None:
                 ok = not refl and net == want
                 got_text = f"{net}" + (" g" if refl else "")

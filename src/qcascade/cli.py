@@ -18,6 +18,8 @@ from .spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from .words import EQB, MGD, CascadeWord
 
 MAX_VARS_DEFAULT = 10
+# bounds the trial-division primality test of dihedral_n to ~46k divisions
+MAX_DIHEDRAL_N = 2**31 - 1
 EMIT_TARGETS = ("word", "qasm", "json", "bloch-csv")
 REPORT_SCHEMA_VERSION = 1
 
@@ -117,6 +119,8 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
         if "dihedral_n" not in doc:
             raise JobError("field 'dihedral_n': required in MGD mode")
         dihedral_n = _field_int(doc, "dihedral_n")
+        if dihedral_n > MAX_DIHEDRAL_N:
+            raise JobError(f"field 'dihedral_n': must be at most {MAX_DIHEDRAL_N}, got {dihedral_n}")
         if not _is_prime(dihedral_n) or dihedral_n == 2:
             raise JobError(f"field 'dihedral_n': MGD mode needs an odd prime group order, got {dihedral_n}")
         modulus = _field_int(doc, "modulus") if "modulus" in doc else dihedral_n

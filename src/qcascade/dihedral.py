@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .words import EQB, MGD, CascadeWord, Refl, Rot
+from .spectral import fwht
+from .words import MGD, CascadeWord, Rot
 
 
 @dataclass(frozen=True)
@@ -108,52 +109,34 @@ def to_permutation(e: GroupElement, p: DihedralParams) -> RailPermutation:
     return RailPermutation(tuple(image))
 
 
-def _parity(controls: frozenset[int], bits: Sequence[int]) -> int:
-    par = 0
-    for v in controls:
-        if v > len(bits):
-            raise ValueError(f"unbound variable x{v}: assignment has {len(bits)} bits")
-        par ^= bits[v - 1] & 1
-    return par
+def evaluate_word(word: CascadeWord) -> list:
+    """Fold a cascade word on every input row at once, in row order.
 
+    MGD mode gives one GroupElement of D_n per row.  EQB mode gives pairs
+    (net rotation exponent as an exact Fraction, residual reflection flag);
+    for a cascade realizing a Boolean function the flag is False and the
+    exponent is the function value.
 
-def evaluate_word(word: CascadeWord, assignment: Sequence[int], p: DihedralParams | None = None):
-    """Fold a cascade word left to right under one input assignment.
-
-    MGD mode returns the resulting GroupElement of D_n.  EQB mode returns a
-    pair (net rotation exponent as an exact Fraction, residual reflection
-    flag); for a cascade realizing a Boolean function the flag is False and
-    the exponent is the function value.
+    Let M be the XOR of the control masks of the reflection letters before
+    a rotation.  On row x that rotation is reflected exactly when
+    parity(x & M) = 1, so the net exponent on row x is the Walsh transform,
+    at x, of the exponents summed per prefix mask M.  The residual
+    reflection on row x is parity(x & M) for the final M.
     """
-    bits = tuple(int(b) & 1 for b in assignment)
-    if word.mode == MGD:
-        params = p if p is not None else word.params
-        if params is None:
-            raise ValueError("MGD evaluation needs dihedral parameters")
-        rot = 0
-        refl = False
-        for letter in word.letters:
-            if isinstance(letter, Rot):
-                # right-multiplying by a^w under the product rule above
-                rot += -letter.exponent if refl else letter.exponent
-            elif _parity(letter.controls, bits):
-                refl = not refl
-        return GroupElement(rot % params.n, refl)
-
-    den = 1
-    for letter in word.letters:
-        if isinstance(letter, Rot) and isinstance(letter.exponent, Fraction):
-            den = den * letter.exponent.denominator // math.gcd(den, letter.exponent.denominator)
-    acc = 0
-    refl = False
+    n = word.n_vars
+    # integer numerators over the common denominator (1 in MGD mode)
+    den = math.lcm(*(letter.exponent.denominator for letter in word.letters
+                     if isinstance(letter, Rot)))
+    buckets = [0] * (1 << n)
+    mask = 0
     for letter in word.letters:
         if isinstance(letter, Rot):
-            w = letter.exponent
-            if isinstance(w, Fraction):
-                v = w.numerator * (den // w.denominator)
-            else:
-                v = w * den
-            acc += -v if refl else v
-        elif _parity(letter.controls, bits):
-            refl = not refl
-    return Fraction(acc, den), refl
+            buckets[mask] += letter.exponent.numerator * (den // letter.exponent.denominator)
+        else:
+            for v in letter.controls:
+                # x1 is the most significant bit of the row index
+                mask ^= 1 << (n - v)
+    rows = zip(fwht(buckets), [(x & mask).bit_count() & 1 == 1 for x in range(1 << n)])
+    if word.mode == MGD:
+        return [GroupElement(net % word.params.n, refl) for net, refl in rows]
+    return [(Fraction(net, den), refl) for net, refl in rows]

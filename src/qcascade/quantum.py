@@ -102,10 +102,6 @@ class QCircuit:
             if hi >= self.num_qubits:
                 raise ValueError(f"gate {g.kind} touches qubit {hi}, circuit has {self.num_qubits}")
 
-    @property
-    def layout_map(self) -> dict[int, int]:
-        return dict(self.layout)
-
     def gate_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for g in self.gates:

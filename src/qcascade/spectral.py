@@ -8,12 +8,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-import numpy as np
-
-MAX_VARS = 10
-
-_BASE = np.array([[1, 1], [1, -1]], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class TruthVector:
@@ -43,14 +37,6 @@ class TruthVector:
     def is_boolean(self) -> bool:
         return all(v in (0, 1) for v in self.values)
 
-    def value_at(self, assignment: Sequence[int]) -> int:
-        if len(assignment) != self.n:
-            raise ValueError(f"assignment has {len(assignment)} bits, expected {self.n}")
-        idx = 0
-        for b in assignment:
-            idx = (idx << 1) | (int(b) & 1)
-        return self.values[idx]
-
     def assignments(self) -> Iterator[tuple[int, ...]]:
         """All assignments in row order."""
         return product((0, 1), repeat=self.n)
@@ -77,21 +63,12 @@ class WalshSpectrum:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
-def walsh_matrix(n: int) -> np.ndarray:
-    """Dense Walsh-Hadamard matrix: n-fold Kronecker power of [[1,1],[1,-1]]."""
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"n must be in 1..{MAX_VARS}, got {n}")
-    out = _BASE
-    for _ in range(n - 1):
-        out = np.kron(out, _BASE)
-    return out
-
-
 def fwht(values: Sequence) -> list:
     """In-place butterfly transform of a power-of-two-length sequence.
 
     Runs in O(len * log len) exact arithmetic (Python ints, or Fractions for
-    the rational round-trip).  Equals walsh_matrix(n) @ values.
+    the rational round-trip).  Entry x of the result is the sum over y of
+    (-1)^popcount(x & y) * values[y]: the Walsh-Hadamard matrix times values.
     """
     out = list(values)
     size = len(out)

@@ -45,9 +45,8 @@ def p_one(circuit, bits) -> float:
 def verify_rows(circuit, truth, tol: float = 1e-9) -> VerificationReport:
     """The rows ``verify_quantum`` reports, computed one full statevector at a time."""
     rows = []
-    for bits in truth.assignments():
+    for bits, want in zip(truth.assignments(), truth.values):
         p = p_one(circuit, bits)
-        want = truth.value_at(bits)
         p_want = p if want else 1.0 - p
         rows.append(VerificationRow(bits, str(want), f"p={p_want:.12g}", p_want >= 1.0 - tol))
     return VerificationReport("quantum", tuple(rows))

@@ -17,8 +17,8 @@ from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symm
 from qcascade.dihedral import DihedralParams
 from qcascade.quantum import (interaction_graph, map_to_circuit, rotation_matrix,
                               verify_quantum)
-from qcascade.spectral import (TruthVector, fwht, spectrum_exact, spectrum_mod,
-                               walsh_matrix)
+from qcascade.spectral import TruthVector, fwht, spectrum_exact, spectrum_mod
+from reference_walsh import walsh_matrix
 
 _CIRCUITS = []  # (label, circuit) pairs accumulated for the connectivity sweep
 

@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry,
                               simplify, verify_classical)
 from qcascade.dihedral import DihedralParams, GroupElement, evaluate_word
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
+from reference_fold import fold_rows
 
 D3 = DihedralParams(3)
 
@@ -113,25 +116,52 @@ def _random_word(rng, mode, n_vars=3):
 
 
 def test_simplify_preserves_semantics():
+    # both sides against the independent per-row reference
     rng = random.Random(42)
     for mode in (EQB, MGD):
         for _ in range(300):
             word = _random_word(rng, mode)
-            slim = simplify(word)
-            for bits in itertools.product((0, 1), repeat=word.n_vars):
-                assert evaluate_word(slim, bits) == evaluate_word(word, bits)
+            reference = fold_rows(word)
+            assert evaluate_word(word) == reference
+            assert evaluate_word(simplify(word)) == reference
 
 
 def test_evaluate_invariant_under_simplify_on_cascades():
+    # canonical, simplified and symmetry-reduced words from real truth tables,
+    # each against the per-row reference
     rng = random.Random(13)
-    for n in range(1, 4):
-        for _ in range(20):
+    for n in range(1, 7):
+        for _ in range(4):
             truth = random_truth(rng, n)
-            for word in (canonical_cascade(spectrum_exact(truth)),
-                         canonical_cascade(spectrum_mod(truth, 3), D3)):
-                slim = simplify(word)
-                for bits in truth.assignments():
-                    assert evaluate_word(slim, bits) == evaluate_word(word, bits)
+            words = [canonical_cascade(spectrum_exact(truth))]
+            for order in (3, 5, 7):
+                multi = TruthVector(n, [rng.randrange(order) for _ in range(1 << n)])
+                words.append(canonical_cascade(spectrum_mod(multi, order), DihedralParams(order)))
+            odd = TruthVector(n, [h ^ b for h in truth.values[0::2] for b in (0, 1)])
+            words.append(reduce_by_symmetry(odd))
+            for word in words:
+                rows = evaluate_word(word)
+                assert rows == fold_rows(word)
+                assert evaluate_word(simplify(word)) == rows
+
+
+@st.composite
+def _words(draw):
+    mode = draw(st.sampled_from((EQB, MGD)))
+    n = draw(st.integers(0, 4))
+    rot = st.integers(-6, 6) if mode == MGD else st.fractions(-4, 4, max_denominator=8)
+    refl = st.frozensets(st.integers(1, n), min_size=1) if n else st.nothing()
+    letters = draw(st.lists(rot.map(Rot) | refl.map(Refl), max_size=16))
+    return CascadeWord(mode, n, tuple(letters),
+                       params=DihedralParams(5) if mode == MGD else None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_words())
+def test_simplify_idempotent_and_preserves_every_row(word):
+    once = simplify(word)
+    assert simplify(once) == once
+    assert evaluate_word(once) == evaluate_word(word) == fold_rows(word)
 
 
 def test_detect_symmetry():
@@ -237,6 +267,12 @@ def test_verify_classical_multivalued_mgd():
         word = simplify(canonical_cascade(spectrum_mod(truth, 3), D3))
         report = verify_classical(word, truth)
         assert report.passed, report.rows
+
+
+def test_verify_classical_rejects_variable_count_mismatch():
+    word = simplify(canonical_cascade(spectrum_exact(TruthVector.from_bits("0110"))))
+    with pytest.raises(ValueError, match="2 variables"):
+        verify_classical(word, TruthVector.from_bits("01101001"))
 
 
 def test_verify_classical_flags_mismatch():

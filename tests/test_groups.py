@@ -108,14 +108,13 @@ XOR_WORD_MGD = CascadeWord(MGD, 2, (Rot(-1), Refl({1, 2}), Rot(1), Refl({1, 2}))
 
 
 def test_evaluate_word_mgd_example():
-    expected = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-    for bits, value in expected.items():
-        assert evaluate_word(XOR_WORD_MGD, bits) == GroupElement(value, False)
+    assert evaluate_word(XOR_WORD_MGD) == [GroupElement(value, False) for value in (0, 1, 1, 0)]
 
 
 def test_evaluate_word_matches_permutation_route():
     # independent oracle: evaluate the same word by composing rail permutations
-    for bits in itertools.product((0, 1), repeat=2):
+    rows = itertools.product((0, 1), repeat=2)
+    for bits, folded in zip(rows, evaluate_word(XOR_WORD_MGD), strict=True):
         perm = to_permutation(IDENTITY, D3)
         for letter in XOR_WORD_MGD.letters:
             if isinstance(letter, Rot):
@@ -126,42 +125,35 @@ def test_evaluate_word_matches_permutation_route():
                     parity ^= bits[v - 1]
                 if parity:
                     perm = perm.then(to_permutation(G, D3))
-        folded = evaluate_word(XOR_WORD_MGD, bits)
         assert perm == to_permutation(folded, D3)
 
 
 def test_evaluate_word_eqb():
     word = CascadeWord(EQB, 2, (Rot(Fraction(1, 2)), Refl({1, 2}),
                                 Rot(Fraction(-1, 2)), Refl({1, 2})))
-    expected = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-    for bits, value in expected.items():
-        net, refl = evaluate_word(word, bits)
-        assert net == value
-        assert refl is False
+    assert evaluate_word(word) == [(0, False), (1, False), (1, False), (0, False)]
+    assert all(refl is False for _, refl in evaluate_word(word))
 
 
 def test_evaluate_word_eqb_partial_fold():
     # a lone reflection letter leaves a residual flip
     word = CascadeWord(EQB, 1, (Rot(Fraction(1, 4)), Refl({1})))
-    net, refl = evaluate_word(word, (1,))
-    assert net == Fraction(1, 4)
-    assert refl is True
-
-
-def test_evaluate_word_unbound_variable():
-    word = CascadeWord(EQB, 3, (Refl({3}),))
-    with pytest.raises(ValueError, match="x3"):
-        evaluate_word(word, (0, 1))
+    assert evaluate_word(word) == [(Fraction(1, 4), False), (Fraction(1, 4), True)]
 
 
 def test_evaluate_word_mgd_needs_params():
     word = CascadeWord(MGD, 1, (Rot(1),), params=D3)
     bare = CascadeWord(EQB, 1, (Rot(1),))
-    assert evaluate_word(word, (0,)) == GroupElement(1, False)
-    net, refl = evaluate_word(bare, (0,))
-    assert (net, refl) == (1, False)
+    assert evaluate_word(word) == [GroupElement(1, False)] * 2
+    assert evaluate_word(bare) == [(1, False)] * 2
 
 
 def test_word_rejects_mgd_without_params():
     with pytest.raises(ValueError):
         CascadeWord(MGD, 1, (Rot(1),))
+
+
+def test_word_rejects_control_beyond_n_vars():
+    # every control is bound: evaluate_word folds over exactly 2^n_vars rows
+    with pytest.raises(ValueError, match="x3"):
+        CascadeWord(EQB, 2, (Refl({3}),))
