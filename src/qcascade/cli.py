@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 from .cascade import (VerificationReport, canonical_cascade, detect_symmetry,
                       reduce_by_symmetry, simplify, verify_classical)
 from .dihedral import DihedralParams
-from .quantum import (CZ, InteractionGraph, QCircuit, angle_text, bloch_trace_csv,
+from .quantum import (CZ, Gate, InteractionGraph, QCircuit, angle_text, bloch_trace_csv,
                       interaction_graph, map_to_circuit, to_qasm, verify_quantum)
 from .spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from .words import EQB, MGD, CascadeWord
@@ -78,8 +79,10 @@ def _parse_truth(doc: dict, n: int) -> TruthVector:
         values = tuple(raw)
     else:
         raise JobError(f"field 'truth': expected a string or list, got {type(raw).__name__}")
-    if len(values) != 1 << n:
-        raise JobError(f"field 'truth': expected {1 << n} entries for n={n}, got {len(values)}")
+    # no list holds 2**64 entries, and 1 << n takes n / 8 bytes to build
+    if n >= 64 or len(values) != 1 << n:
+        want = 1 << n if n < 64 else f"2**{n}"
+        raise JobError(f"field 'truth': expected {want} entries for n={n}, got {len(values)}")
     return TruthVector(n, values)
 
 
@@ -268,32 +271,43 @@ def _verification_dict(report: VerificationReport | None):
     if report is None:
         return None
     return {"passed": report.passed,
-            "rows": [{"input": "".join(str(b) for b in row.assignment),
+            "rows": [{"input": "".join(map(str, row.assignment)),
                       "expected": row.expected, "got": row.got, "ok": row.ok}
                      for row in report.rows]}
 
 
+def _gate_entry(g: Gate) -> dict:
+    entry: dict = {"kind": g.kind, "target": g.target}
+    if g.control is not None:
+        entry["control"] = g.control
+    if g.kind != CZ:
+        entry["angle"] = angle_text(g)
+        entry["radians"] = g.angle
+    return entry
+
+
 def report_to_mapping(report: SynthesisReport) -> dict:
-    """JSON report body. Deterministic: no timings, no timestamps."""
-    gates = []
-    for g in report.circuit.gates:
-        entry: dict = {"kind": g.kind, "target": g.target}
-        if g.control is not None:
-            entry["control"] = g.control
-        if g.kind != CZ:
-            entry["angle"] = angle_text(g)
-            entry["radians"] = g.angle
-        gates.append(entry)
+    """JSON report body. Deterministic: no timings, no timestamps.
+
+    Equal gates share one entry dict (``map_to_circuit`` shares one Gate
+    object between them), so treat the result as read-only.
+    """
+    gates = report.circuit.gates
+    distinct = {id(g): g for g in gates}
+    entry_of = {key: _gate_entry(g) for key, g in distinct.items()}
+    # the final word is the simplified or the reduced word: print each word once
+    words = (report.canonical, report.simplified, report.reduced, report.word)
+    text = {id(w): str(w) for w in words if w is not None}
     target = report.word.target_var
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "job": job_to_mapping(report.job),
         "spectrum": {"coefficients": [str(c) for c in report.spectrum.coeffs],
                      "modulus": report.spectrum.modulus},
-        "words": {"canonical": str(report.canonical),
-                  "simplified": str(report.simplified),
-                  "reduced": None if report.reduced is None else str(report.reduced),
-                  "final": str(report.word),
+        "words": {"canonical": text[id(report.canonical)],
+                  "simplified": text[id(report.simplified)],
+                  "reduced": None if report.reduced is None else text[id(report.reduced)],
+                  "final": text[id(report.word)],
                   "target": "ancilla" if target is None else f"x{target}",
                   "letter_counts": {"canonical": len(report.canonical),
                                     "simplified": len(report.simplified),
@@ -301,7 +315,7 @@ def report_to_mapping(report: SynthesisReport) -> dict:
         "circuit": {"num_qubits": report.circuit.num_qubits,
                     "target_qubit": report.circuit.target_qubit,
                     "layout": {f"x{v}": q for v, q in report.circuit.layout},
-                    "gates": gates,
+                    "gates": [entry_of[id(g)] for g in gates],
                     "gate_counts": report.circuit.gate_counts()},
         "verification": {"classical": _verification_dict(report.classical),
                          "quantum": _verification_dict(report.quantum)},
@@ -311,6 +325,79 @@ def report_to_mapping(report: SynthesisReport) -> dict:
                          "centers": list(report.connectivity.centers)},
         "passed": report.passed,
     }
+
+
+_INDENT = "  "
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _encoder(level: int) -> json.JSONEncoder:
+    """Compact encoder whose item separator starts a new line at ``level``.
+
+    With ``indent=None`` json runs its C encoder; with an indent it runs
+    the pure-Python one, node by node."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * level, ": "))
+
+
+def _flat_brackets(obj) -> str | None:
+    """'{}' or '[]' for a non-empty dict or list that holds no container, else None."""
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return None
+    if not obj or any(isinstance(v, _CONTAINERS) for v in values):
+        return None
+    return brackets
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _encoder(0).encode(key)
+    return _encoder(0).encode({key: 0})[1:-4]  # json's own key text: 1 -> "1", None -> "null"
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for a JSON tree,
+    as if its first line were indented ``level`` steps, but mostly C-encoded.
+
+    A flat container (no container inside) is one C-encoder call whose
+    brackets are then moved onto their own lines.  A list of flat containers
+    of one kind is one call too, over its distinct items (an item repeated
+    by identity, such as a shared gate entry, is encoded once): the text is
+    cut at the item boundaries, "}" or "]" followed by the separator and "{"
+    or "[", and the pieces are joined back in list order with the indented
+    boundary.  JSON escapes every newline inside a string, so the separator,
+    and with it the boundary, never occurs inside a value.  Anything else
+    recurses.
+    """
+    pad = "\n" + _INDENT * level
+    inner = pad + _INDENT
+    brackets = _flat_brackets(obj)
+    if brackets:
+        text = _encoder(level + 1).encode(obj)
+        return f"{text[0]}{inner}{text[1:-1]}{pad}{text[-1]}"
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _encoder(0).encode(obj)
+    if isinstance(obj, dict):
+        brackets = "{}"
+        body = [f"{_key_text(k)}: {_dumps(v, level + 1)}" for k, v in sorted(obj.items())]
+    else:
+        brackets = "[]"
+        distinct = list({id(v): v for v in obj}.values())
+        kinds = {_flat_brackets(v) for v in distinct}
+        if len(kinds) == 1 and None not in kinds:
+            (o, c), = kinds
+            enc = _encoder(level + 2)
+            texts = enc.encode(distinct)[2:-2].split(c + enc.item_separator + o)
+            text_of = {id(v): t for v, t in zip(distinct, texts)}
+            deeper = inner + _INDENT
+            body = f"{inner}{c},{inner}{o}{deeper}".join([text_of[id(v)] for v in obj])
+            return f"[{inner}{o}{deeper}{body}{inner}{c}{pad}]"
+        body = [_dumps(v, level + 1) for v in obj]
+    return brackets[0] + inner + ("," + inner).join(body) + pad + brackets[1]
 
 
 def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
@@ -327,7 +414,7 @@ def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
             path.write_text(to_qasm(report.circuit))
         elif target == "json":
             path = out_dir / "report.json"
-            path.write_text(json.dumps(report_to_mapping(report), indent=2, sort_keys=True) + "\n")
+            path.write_text(_dumps(report_to_mapping(report)) + "\n")
         elif target == "bloch-csv":
             if report.job.trace_input is None:
                 raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
@@ -378,32 +465,36 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_job_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("jobfile", nargs="?", help="JSON job document ('-' for stdin)")
-    sub.add_argument("--n", type=int, help="number of input variables")
-    sub.add_argument("--truth", help="truth vector, row 0 first, x1 most significant")
-    sub.add_argument("--mode", choices=[EQB, MGD], help="synthesis mode (default eqb)")
-    sub.add_argument("--basis", choices=["x", "y", "X", "Y"], help="rotation basis (default X)")
-    sub.add_argument("--dihedral-n", type=int, dest="dihedral_n", help="dihedral group order (MGD)")
-    sub.add_argument("--modulus", type=int, help="spectrum modulus (MGD, default dihedral order)")
-    sub.add_argument("--levels", type=int, help="output level count for the MGD angle scale")
-    sub.add_argument("--no-symmetry", action="store_true", help="disable the symmetry reduction")
-    sub.add_argument("--emit", help="comma-separated targets: word,qasm,json,bloch-csv")
-    sub.add_argument("--out-dir", default=".", help="directory for emitted files (default .)")
-    sub.add_argument("--input", help="assignment bits for the Bloch trace")
-    sub.add_argument("--force-large", action="store_true",
-                     help=f"allow more than {MAX_VARS_DEFAULT} variables")
+VERBS = {"synth": "run the full pipeline and emit artifacts",
+         "spectrum": "print the Walsh spectrum only",
+         "verify": "run the pipeline and print verification rows",
+         "trace": "print the Bloch trace of the target qubit"}
 
 
 def build_parser() -> CliParser:
+    """One parser for every verb: all four take the same job arguments.
+    Parse with ``parse_intermixed_args``, so that the job file may follow
+    the flags as well as precede them."""
     parser = CliParser(prog="qcascade",
                        description="Compile Boolean truth tables into rotation-gate cascades.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, text in (("synth", "run the full pipeline and emit artifacts"),
-                       ("spectrum", "print the Walsh spectrum only"),
-                       ("verify", "run the pipeline and print verification rows"),
-                       ("trace", "print the Bloch trace of the target qubit")):
-        _add_job_arguments(subs.add_parser(name, help=text))
+    parser.add_argument("command", choices=list(VERBS),
+                        help="; ".join(f"{verb}: {text}" for verb, text in VERBS.items()))
+    parser.add_argument("jobfile", nargs="?", help="JSON job document ('-' for stdin)")
+    parser.add_argument("--n", type=int, help="number of input variables")
+    parser.add_argument("--truth", help="truth vector, row 0 first, x1 most significant")
+    parser.add_argument("--mode", choices=[EQB, MGD], help="synthesis mode (default eqb)")
+    parser.add_argument("--basis", choices=["x", "y", "X", "Y"], help="rotation basis (default X)")
+    parser.add_argument("--dihedral-n", type=int, dest="dihedral_n",
+                        help="dihedral group order (MGD)")
+    parser.add_argument("--modulus", type=int,
+                        help="spectrum modulus (MGD, default dihedral order)")
+    parser.add_argument("--levels", type=int, help="output level count for the MGD angle scale")
+    parser.add_argument("--no-symmetry", action="store_true", help="disable the symmetry reduction")
+    parser.add_argument("--emit", help="comma-separated targets: word,qasm,json,bloch-csv")
+    parser.add_argument("--out-dir", default=".", help="directory for emitted files (default .)")
+    parser.add_argument("--input", help="assignment bits for the Bloch trace")
+    parser.add_argument("--force-large", action="store_true",
+                        help=f"allow more than {MAX_VARS_DEFAULT} variables")
     return parser
 
 
@@ -429,7 +520,7 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_intermixed_args(argv)
     try:
         job = _job_from_args(args)
     except (JobError, OSError) as e:

@@ -114,7 +114,9 @@ def map_to_circuit(word: CascadeWord, basis: str = "X", levels: int | None = Non
 
     Rotations become R_basis(w * pi) in EQB mode or R_basis(w * pi / levels)
     in MGD mode; each reflection control contributes one CZ against the
-    target.  Words containing a^0 are rejected: simplify first.
+    target.  Words containing a^0 are rejected: simplify first.  Equal
+    gates are one shared ``Gate`` object: one per rotation exponent and one
+    per CZ control.
     """
     if basis not in ("X", "Y"):
         raise ValueError(f"basis must be 'X' or 'Y', got {basis!r}")
@@ -134,17 +136,26 @@ def map_to_circuit(word: CascadeWord, basis: str = "X", levels: int | None = Non
         qubit_of = {v: v - 1 for v in range(1, n + 1)}
         num_qubits = max(n, 1)
     gates: list[Gate] = []
+    # exponent 0 is never stored, so every a^0 reaches the check below
+    rotations: dict[Fraction | int, Gate] = {}
+    czs: dict[int, Gate] = {}
     for letter in word.letters:
         if isinstance(letter, Rot):
-            if letter.exponent == 0:
-                raise ValueError("word is not simplified: zero rotation present")
-            frac = Fraction(letter.exponent)
-            if word.mode == MGD:
-                frac /= levels
-            gates.append(Gate(rot_kind, target, pi_frac=frac))
+            gate = rotations.get(letter.exponent)
+            if gate is None:
+                if letter.exponent == 0:
+                    raise ValueError("word is not simplified: zero rotation present")
+                frac = Fraction(letter.exponent)
+                if word.mode == MGD:
+                    frac /= levels
+                gate = rotations[letter.exponent] = Gate(rot_kind, target, pi_frac=frac)
+            gates.append(gate)
         else:
             for v in sorted(letter.controls):
-                gates.append(Gate(CZ, target=target, control=qubit_of[v]))
+                gate = czs.get(v)
+                if gate is None:
+                    gate = czs[v] = Gate(CZ, target=target, control=qubit_of[v])
+                gates.append(gate)
     return QCircuit(num_qubits, tuple(gates), target,
                     layout=tuple(sorted(qubit_of.items())))
 
@@ -161,6 +172,9 @@ def _target_register(circuit: QCircuit, rows: np.ndarray):
     amp) after each gate, where amp is one (rows, 2) complex array updated
     in place.
     """
+    if rows.shape[1] != len(circuit.layout):
+        raise ValueError(f"circuit reads {len(circuit.layout)} input bits, "
+                         f"got rows of {rows.shape[1]}")
     target = circuit.target_qubit
     bit_of = {q: rows[:, v - 1] for v, q in circuit.layout}
     amp = np.zeros((len(rows), 2), dtype=complex)
@@ -187,7 +201,8 @@ def _target_register(circuit: QCircuit, rows: np.ndarray):
 
 def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> VerificationReport:
     """Statevector check: run every basis assignment through the circuit and
-    require the target qubit to read F(x) with probability >= 1 - tol."""
+    require the target qubit to read F(x) with probability >= 1 - tol.
+    ``truth.n`` must equal the circuit's number of inputs."""
     if not truth.is_boolean:
         raise ValueError("quantum verification expects a Boolean truth vector")
     n = truth.n
@@ -221,13 +236,16 @@ def _bloch_point(amp: np.ndarray) -> BlochPoint:
 
 
 def _traced(circuit: QCircuit, assignment) -> list[tuple[str, BlochPoint]]:
-    rows = np.array([[int(b) & 1 for b in assignment]], dtype=np.int64)
+    if any(b not in (0, 1, "0", "1") for b in assignment):
+        raise ValueError(f"assignment entries must be 0 or 1, got {assignment!r}")
+    rows = np.array([[int(b) for b in assignment]], dtype=np.int64)
     return [(label, _bloch_point(amp[0])) for label, amp in _target_register(circuit, rows)]
 
 
 def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:
     """Target-qubit Bloch coordinates: the initial state, then one point per
-    gate.  Every gate must touch the target, as in ``verify_quantum``."""
+    gate.  ``assignment`` gives one 0/1 bit (int or character) per circuit
+    input.  Every gate must touch the target, as in ``verify_quantum``."""
     return [point for _, point in _traced(circuit, assignment)]
 
 

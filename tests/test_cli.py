@@ -1,17 +1,23 @@
+import contextlib
 import hashlib
 import io
 import json
 import math
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcascade.cascade import VerificationReport, VerificationRow
-from qcascade.cli import (EMIT_TARGETS, JobError, JobSpec, PipelineError, emit,
-                          job_to_mapping, main, parse_job, report_to_mapping, run_pipeline)
+from qcascade.cli import (EMIT_TARGETS, VERBS, JobError, JobSpec, PipelineError, _dumps,
+                          build_parser, emit, job_to_mapping, main, parse_job, report_to_mapping,
+                          run_pipeline)
 from qcascade.spectral import TruthVector
 from qcascade.words import EQB, MGD
+from reference_parser import build_subcommand_parser
 
 XOR_JOB = '{"n": 2, "truth": "0110"}'
 MGD_JOB = '{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3}'
@@ -272,6 +278,63 @@ def test_emit_bloch_requires_trace_input(tmp_path):
         emit(report, ("bloch-csv",), tmp_path)
 
 
+# strings that look like the separators and brackets _dumps cuts and patches
+_TRICKY_TEXT = (st.text(st.sampled_from('{}[],:" \n\\aé\u2603'), max_size=6)
+                | st.sampled_from(["},", "],", '"', "\n", "é", "},\n  {", "],\n    ["]))
+_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | _TRICKY_TEXT
+_FLAT = (st.lists(_LEAVES, min_size=1, max_size=3)
+         | st.dictionaries(_TRICKY_TEXT, _LEAVES, min_size=1, max_size=3))
+
+
+def _json_containers(inner):
+    return (st.lists(inner, max_size=4)
+            | st.dictionaries(_TRICKY_TEXT, inner, max_size=4)
+            | st.lists(_FLAT, max_size=4)
+            # the same object more than once, as report_to_mapping shares gate entries
+            | st.lists(inner, min_size=1, max_size=3).flatmap(
+                lambda items: st.lists(st.sampled_from(items), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(_LEAVES, _json_containers, max_leaves=24))
+@example([{"a": 1}, [1], {}, []])
+@example({"x": [{"b": 1, "a": "},\n    {"}, {"c": None}], "": [[1, "],"], [2.5]]})
+@example({1: [{"a": 1}], 2: {"b": [[]]}})
+@example({None: [{"k": 1.5}]})
+@example({True: {"k": [{"v": float("nan")}]}, False: [[]]})
+def test_dumps_matches_stdlib_indent_two_sort_keys(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def _sweep_jobs():
+    """EQB n = 1-6 in both bases, with and without the symmetry reduction
+    (half the truth tables odd in x_n, so that it applies), and MGD over D_3,
+    D_5 and D_7."""
+    rng = random.Random(404)
+    for n in range(1, 7):
+        for basis in ("x", "y"):
+            for symmetry in (True, False):
+                for odd in (False, True):
+                    if odd:
+                        halves = [rng.getrandbits(1) for _ in range(1 << (n - 1))]
+                        truth = "".join(f"{h}{1 - h}" for h in halves)
+                    else:
+                        truth = "".join(str(rng.getrandbits(1)) for _ in range(1 << n))
+                    yield {"n": n, "truth": truth, "basis": basis, "symmetry": symmetry}
+    for n in range(1, 7):
+        for d in (3, 5, 7):
+            truth = [rng.randrange(d) for _ in range(1 << n)]
+            yield {"n": n, "truth": truth, "mode": "mgd", "dihedral_n": d}
+
+
+def test_report_json_equals_stdlib_encoding_on_seeded_jobs(tmp_path):
+    for doc in _sweep_jobs():
+        report = run_pipeline(parse_job(json.dumps(doc)))
+        emit(report, ("json",), tmp_path)
+        want = json.dumps(report_to_mapping(report), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "report.json").read_bytes() == want.encode(), doc
+
+
 def test_emitted_files_are_byte_identical_across_runs(tmp_path):
     job_text = '{"n": 3, "truth": "01101001", "emit": ["word", "qasm", "json"]}'
     first, second = tmp_path / "a", tmp_path / "b"
@@ -405,6 +468,17 @@ def test_main_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["synth", "--mode", "qft", "--n", "2", "--truth", "0110"])
     assert info.value.code == 1
+    capsys.readouterr()
+    # 1 << n does not fit in memory for this n; the parser must answer without it
+    assert main(["synth", "--n", str(2**70), "--truth", "01", "--force-large"]) == 1
+    assert "expected 2**1180591620717411303424 entries" in capsys.readouterr().err
+
+
+def test_main_accepts_job_file_after_flags(tmp_path, capsys):
+    jobfile = tmp_path / "job.json"
+    jobfile.write_text(XOR_JOB)
+    assert main(["verify", "--basis", "y", str(jobfile)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("result: PASS")
 
 
 def test_main_bad_json_reports_position(tmp_path, capsys):
@@ -426,3 +500,82 @@ def test_main_verification_failure_exits_two(monkeypatch, capsys):
     assert "result: FAIL" in capsys.readouterr().out
     assert main(["verify", "--n", "2", "--truth", "0110"]) == 2
     assert "MISMATCH" in capsys.readouterr().out
+
+
+_FLAG_VALUES = {
+    "--n": st.integers(-1, 5).map(str) | st.integers().map(str) | st.just("two"),
+    "--truth": st.text("0123", min_size=1, max_size=16),
+    "--mode": st.sampled_from(["eqb", "mgd", "qft"]),
+    "--basis": st.sampled_from(["x", "Y", "z"]),
+    "--dihedral-n": st.sampled_from(["3", "4", "5", "7", "-3", "x"]),
+    "--modulus": st.sampled_from(["3", "5", "6", "9", "15"]),
+    "--levels": st.integers(-1, 8).map(str),
+    "--emit": st.sampled_from(["word", "json", "qasm,json", "bloch-csv", "png", ""]),
+    "--input": st.text("012", max_size=5),
+    "--no-symmetry": st.none(),
+    "--force-large": st.none(),
+}
+_BAD_VERBS = ("bogus", "", "--n")
+_ODD = _BAD_VERBS + ("--help", "-h", "--bogus", "extra")
+_JOB_FILES = ("good.json", "bad.json", "missing.json")
+
+
+@st.composite
+def _argv(draw):
+    """A verb followed by a shuffle of flags, values and at most one job
+    file.  --n and --truth often agree, so that jobs reach the pipeline; one
+    list in three has a bad verb, a help flag or an unknown argument."""
+    odd = draw(st.sampled_from((None,) * 2 * len(_ODD) + _ODD))
+    verb = odd if odd in _BAD_VERBS else draw(st.sampled_from(list(VERBS)))
+    parts = []
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        parts.append(["--n", str(n), "--truth", draw(st.text("01", min_size=1 << n,
+                                                             max_size=1 << n))])
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=3)):
+        value = draw(_FLAG_VALUES[flag])
+        parts.append([flag] if value is None else [flag, value])
+    if draw(st.booleans()):
+        parts.append([draw(st.sampled_from(_JOB_FILES))])
+    if odd and odd not in _BAD_VERBS:
+        parts.append([odd])
+    parts = draw(st.permutations(parts))
+    return [verb] + [token for part in parts for token in part]
+
+
+def _run_main(argv, work: Path):
+    """main's exit code, or the code of the SystemExit it raised."""
+    argv = [str(work / t) if t in _JOB_FILES else t for t in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "return", main(argv + ["--out-dir", str(work / "out")])
+        except SystemExit as e:
+            return "exit", e.code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argv())
+def test_main_gives_exit_code_for_any_argv(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "good.json").write_text('{"n": 2, "truth": "0110", "trace_input": "01"}')
+        (work / "bad.json").write_text('{"n": 2, "truth": ')
+        how, code = _run_main(argv, work)
+    assert code in ((0, 1, 2) if how == "return" else (0, 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argv())
+def test_parser_matches_one_subparser_per_verb(argv):
+    def outcome(parse):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return vars(parse(argv))
+            except SystemExit as e:
+                return e.code
+
+    # help text differs between the two forms, and only the one-parser form
+    # reads flags placed before the verb
+    if argv[0] in VERBS and not {"-h", "--help"} & set(argv):
+        assert (outcome(build_parser().parse_intermixed_args)
+                == outcome(build_subcommand_parser().parse_args))

@@ -195,9 +195,46 @@ def test_map_to_circuit_basis_y():
 
 
 def test_map_to_circuit_rejects_unsimplified_word():
-    word = CascadeWord(EQB, 1, (Rot(Fraction(0)), Refl({1})))
-    with pytest.raises(ValueError):
-        map_to_circuit(word)
+    for letters in [(Rot(Fraction(0)), Refl({1})),
+                    # a^0 after a rotation whose gate is already built
+                    (Rot(Fraction(1, 2)), Refl({1}), Rot(Fraction(1, 2)), Rot(Fraction(0)))]:
+        with pytest.raises(ValueError, match="zero rotation"):
+            map_to_circuit(CascadeWord(EQB, 1, letters))
+
+
+def _gates_letter_by_letter(word, basis, levels):
+    """One new Gate per rotation letter and per reflection control."""
+    kind = RX if basis == "X" else RY
+    target, shift = (0, 0) if word.target_var is None else (word.target_var - 1, 1)
+    gates = []
+    for letter in word.letters:
+        if isinstance(letter, Rot):
+            scale = levels if word.mode == MGD else 1
+            gates.append(Gate(kind, target, pi_frac=Fraction(letter.exponent) / scale))
+        else:
+            gates += [Gate(CZ, target, control=v - shift) for v in sorted(letter.controls)]
+    return tuple(gates)
+
+
+def test_map_to_circuit_builds_each_distinct_gate_once():
+    rng = random.Random(77)
+    cases = []
+    for n in range(1, 6):
+        truth = TruthVector(n, [rng.getrandbits(1) for _ in range(1 << n)])
+        cases.append((simplify(canonical_cascade(spectrum_exact(truth))), None))
+        odd = TruthVector(n, [b for _ in range(1 << (n - 1)) for h in [rng.getrandbits(1)]
+                              for b in (h, 1 - h)])
+        cases.append((reduce_by_symmetry(odd), None))
+        for d in (3, 5, 7):
+            levels = rng.randrange(2, d + 1)
+            truth = TruthVector(n, [rng.randrange(levels) for _ in range(1 << n)])
+            params = DihedralParams(d)
+            cases.append((simplify(canonical_cascade(spectrum_mod(truth, d), params)), levels))
+    for word, levels in cases:
+        for basis in ("X", "Y"):
+            gates = map_to_circuit(word, basis=basis, levels=levels).gates
+            assert gates == _gates_letter_by_letter(word, basis, levels)
+            assert len({id(g) for g in gates}) == len(set(gates))
 
 
 def test_map_to_circuit_levels_contract():
@@ -277,6 +314,27 @@ def test_verify_quantum_rejects_gates_off_the_target(name):
 def test_bloch_trace_rejects_gates_off_the_target(name):
     with pytest.raises(ValueError, match="target"):
         bloch_trace(OFF_TARGET[name], ())
+
+
+@pytest.mark.parametrize("assignment", ["101", "1", "12", (1, 2), (0, 0.5), ("1", "x")])
+def test_bloch_trace_rejects_bad_assignment(assignment):
+    # reduced_xor_circuit reads two input bits
+    with pytest.raises(ValueError):
+        bloch_trace(reduced_xor_circuit(), assignment)
+    with pytest.raises(ValueError):
+        bloch_trace_csv(reduced_xor_circuit(), assignment)
+
+
+def test_bloch_trace_accepts_bit_characters_and_integers():
+    circ = reduced_xor_circuit()
+    assert bloch_trace(circ, "10") == bloch_trace(circ, (1, 0)) == bloch_trace(circ, [True, 0])
+
+
+@pytest.mark.parametrize("truth", [TruthVector.from_bits("01"), TruthVector.from_bits("01101001")])
+def test_verify_quantum_rejects_truth_of_another_width(truth):
+    for circ in (xor_circuit(), reduced_xor_circuit()):
+        with pytest.raises(ValueError, match="2 input bits"):
+            verify_quantum(circ, truth)
 
 
 def test_bloch_trace_starts_at_pole():
