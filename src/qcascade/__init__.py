@@ -11,8 +11,7 @@ from .cascade import (VerificationReport, VerificationRow, canonical_cascade,
 from .cli import (JobError, JobSpec, PipelineError, SynthesisReport, emit,
                   parse_job, run_pipeline)
 from .dihedral import (IDENTITY, DihedralParams, GroupElement, RailPermutation,
-                       all_elements, element, evaluate_word, format_element,
-                       inv, mul, to_permutation)
+                       evaluate_word, format_element, mul, to_permutation)
 from .quantum import (BlochPoint, Gate, InteractionGraph, QCircuit, bloch_trace,
                       bloch_trace_csv, interaction_graph, map_to_circuit,
                       rotation_matrix, to_qasm, verify_quantum)
@@ -28,9 +27,9 @@ __all__ = [
     "InteractionGraph", "JobError", "JobSpec", "PipelineError", "QCircuit",
     "RailPermutation", "Refl", "Rot", "SynthesisReport", "TruthVector",
     "VerificationReport", "VerificationRow", "WalshSpectrum",
-    "all_elements", "bloch_trace", "bloch_trace_csv",
-    "canonical_cascade", "detect_symmetry", "element", "emit", "evaluate_word",
-    "format_element", "fwht", "interaction_graph", "inv", "map_to_circuit",
+    "bloch_trace", "bloch_trace_csv",
+    "canonical_cascade", "detect_symmetry", "emit", "evaluate_word",
+    "format_element", "fwht", "interaction_graph", "map_to_circuit",
     "modinv", "mul", "parse_job", "reduce_by_symmetry", "rotation_matrix",
     "run_pipeline", "simplify", "spectrum_exact", "spectrum_mod",
     "to_permutation", "to_qasm", "verify_classical", "verify_quantum",

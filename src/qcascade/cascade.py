@@ -23,36 +23,16 @@ def canonical_cascade(spectrum: WalshSpectrum, params: DihedralParams | None = N
     mode = MGD if spectrum.modulus is not None else EQB
     if mode == MGD and params is None:
         raise ValueError("a modular spectrum needs dihedral parameters")
+    # one object per distinct letter; the i < n with 2^i dividing k are the
+    # first min(v + 1, n), where 2^v = k & -k
+    refls = [Refl(frozenset({n - i})) for i in range(n)]
+    rot_of = {c: Rot(c) for c in set(spectrum.coeffs)}
     letters: list[Letter] = []
-    for k in range(1, (1 << n) + 1):
-        letters.append(Rot(spectrum.coeffs[k - 1]))
-        for i in range(n):
-            if k % (1 << i) == 0:
-                letters.append(Refl(frozenset({n - i})))
+    for k, c in enumerate(spectrum.coeffs, 1):
+        letters.append(rot_of[c])
+        letters += refls[:min((k & -k).bit_length(), n)]
     return CascadeWord(mode=mode, n_vars=n, letters=tuple(letters),
                        params=params if mode == MGD else None)
-
-
-def _push(out: list[Letter], letter: Letter) -> None:
-    # The stack never holds two adjacent letters of the same type, so one
-    # pass reaches the rewrite fixed point.
-    if isinstance(letter, Rot):
-        if letter.exponent == 0:
-            return
-        if out and isinstance(out[-1], Rot):
-            top = out.pop()
-            _push(out, Rot(top.exponent + letter.exponent))
-        else:
-            out.append(letter)
-    else:
-        if out and isinstance(out[-1], Refl):
-            top = out.pop()
-            merged = top.controls ^ letter.controls
-            if merged:
-                out.append(Refl(merged))
-            # an empty merge drops both letters
-        else:
-            out.append(letter)
 
 
 def simplify(word: CascadeWord) -> CascadeWord:
@@ -60,11 +40,33 @@ def simplify(word: CascadeWord) -> CascadeWord:
 
     Rewrites: drop a^0, merge adjacent rotations by adding exponents, merge
     adjacent reflections by XOR of control sets (dropping empty merges).
-    Semantics-preserving and idempotent.
+    Semantics-preserving and idempotent.  Letters that are not merged keep
+    their objects; each distinct merged letter is built once.
     """
+    # The stack never holds two adjacent letters of the same type, so one
+    # pass reaches the rewrite fixed point.
     out: list[Letter] = []
+    merged_of: dict = {}
     for letter in word.letters:
-        _push(out, letter)
+        top = out[-1] if out else None
+        if isinstance(letter, Rot):
+            if letter.exponent == 0:
+                continue
+            kind = Rot
+            merged = top.exponent + letter.exponent if isinstance(top, Rot) else None
+        else:
+            kind = Refl
+            merged = top.controls ^ letter.controls if isinstance(top, Refl) else None
+        if merged is None:
+            out.append(letter)
+            continue
+        out.pop()
+        # a zero sum or an empty XOR drops both letters
+        if merged:
+            new = merged_of.get((kind, merged))
+            if new is None:
+                new = merged_of[kind, merged] = kind(merged)
+            out.append(new)
     return replace(word, letters=tuple(out))
 
 

@@ -297,7 +297,8 @@ def report_to_mapping(report: SynthesisReport) -> dict:
     entry_of = {key: _gate_entry(g) for key, g in distinct.items()}
     # the final word is the simplified or the reduced word: print each word once
     words = (report.canonical, report.simplified, report.reduced, report.word)
-    text = {id(w): str(w) for w in words if w is not None}
+    distinct_words = {id(w): w for w in words if w is not None}
+    text = {key: str(w) for key, w in distinct_words.items()}
     target = report.word.target_var
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -498,6 +499,12 @@ def build_parser() -> CliParser:
     return parser
 
 
+# built once per process: parse_intermixed_args changes some of its actions
+# during a parse and restores them before it returns or exits, so calls in
+# one thread can share it
+_PARSER = build_parser()
+
+
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     if args.jobfile:
         doc = _load_object(sys.stdin.read() if args.jobfile == "-"
@@ -520,7 +527,7 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_intermixed_args(argv)
+    args = _PARSER.parse_intermixed_args(argv)
     try:
         job = _job_from_args(args)
     except (JobError, OSError) as e:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .spectral import fwht
 from .words import MGD, CascadeWord, Rot
@@ -42,27 +41,9 @@ class GroupElement:
 IDENTITY = GroupElement(0, False)
 
 
-def element(rot: int, refl: bool, p: DihedralParams) -> GroupElement:
-    """Build a normalized element, reducing the rotation exponent mod n."""
-    return GroupElement(rot % p.n, bool(refl))
-
-
 def mul(e1: GroupElement, e2: GroupElement, p: DihedralParams) -> GroupElement:
     rot = e1.rot - e2.rot if e1.refl else e1.rot + e2.rot
     return GroupElement(rot % p.n, e1.refl != e2.refl)
-
-
-def inv(e: GroupElement, p: DihedralParams) -> GroupElement:
-    if e.refl:
-        # reflections are involutions
-        return e
-    return GroupElement(-e.rot % p.n, False)
-
-
-def all_elements(p: DihedralParams) -> Iterable[GroupElement]:
-    for refl in (False, True):
-        for rot in range(p.n):
-            yield GroupElement(rot, refl)
 
 
 def format_element(e: GroupElement, p: DihedralParams) -> str:

@@ -271,8 +271,9 @@ def interaction_graph(circuit: QCircuit) -> InteractionGraph:
 
     An empty edge set is trivially a star and triangle-free.
     """
+    distinct = {id(g): g for g in circuit.gates}.values()
     edges = sorted({(min(g.control, g.target), max(g.control, g.target))
-                    for g in circuit.gates if g.kind == CZ})
+                    for g in distinct if g.kind == CZ})
     adjacency: dict[int, set[int]] = {}
     for u, v in edges:
         adjacency.setdefault(u, set()).add(v)

@@ -40,7 +40,10 @@ class Refl:
     controls: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", frozenset(int(v) for v in self.controls))
+        object.__setattr__(self, "controls", frozenset(self.controls))
+        bad = [v for v in self.controls if isinstance(v, bool) or not isinstance(v, int)]
+        if bad:
+            raise TypeError(f"control variables must be integers, got {bad[0]!r}")
         if not self.controls:
             raise ValueError("reflection letter needs at least one control variable")
         if any(v < 1 for v in self.controls):
@@ -80,12 +83,17 @@ class CascadeWord:
             raise ValueError("MGD words need dihedral parameters")
         if self.target_var is not None and not 1 <= self.target_var <= self.n_vars:
             raise ValueError(f"target variable x{self.target_var} out of range 1..{self.n_vars}")
-        for letter in self.letters:
+        # letters are frozen, so one check per distinct letter object covers
+        # every position that repeats it
+        for letter in {id(letter): letter for letter in self.letters}.values():
             if isinstance(letter, Rot):
-                if self.mode == MGD and not isinstance(letter.exponent, int):
-                    raise TypeError(f"MGD exponents must be integers, got {letter.exponent!r}")
-                if self.mode == EQB and not isinstance(letter.exponent, (int, Fraction)):
-                    raise TypeError(f"EQB exponents must be rational, got {letter.exponent!r}")
+                exponent = letter.exponent
+                if isinstance(exponent, bool):
+                    raise TypeError(f"rotation exponents must not be bool, got {exponent!r}")
+                if self.mode == MGD and not isinstance(exponent, int):
+                    raise TypeError(f"MGD exponents must be integers, got {exponent!r}")
+                if self.mode == EQB and not isinstance(exponent, (int, Fraction)):
+                    raise TypeError(f"EQB exponents must be rational, got {exponent!r}")
             elif isinstance(letter, Refl):
                 bad = [v for v in letter.controls if v > self.n_vars]
                 if bad:
@@ -97,5 +105,7 @@ class CascadeWord:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return " ".join(str(letter) for letter in self.letters)
+        distinct = {id(letter): letter for letter in self.letters}
+        text = {key: str(letter) for key, letter in distinct.items()}
+        return " ".join([text[id(letter)] for letter in self.letters])
 

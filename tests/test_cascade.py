@@ -12,6 +12,7 @@ from qcascade.dihedral import DihedralParams, GroupElement, evaluate_word
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_fold import fold_rows
+from reference_simplify import simplify_reference
 
 D3 = DihedralParams(3)
 
@@ -58,6 +59,23 @@ def test_canonical_letter_count_law():
     for n in range(1, 11):
         word = canonical_cascade(spectrum_exact(random_truth(rng, n)))
         assert len(word) == 3 * (1 << n) - 2
+
+
+def test_canonical_cascade_builds_each_distinct_letter_once():
+    rng = random.Random(17)
+    for n in range(1, 9):
+        cases = [(spectrum_exact(random_truth(rng, n)), None)]
+        for order in (3, 5, 7):
+            multi = TruthVector(n, [rng.randrange(order) for _ in range(1 << n)])
+            cases.append((spectrum_mod(multi, order), DihedralParams(order)))
+        for spectrum, params in cases:
+            word = canonical_cascade(spectrum, params)
+            fresh = []
+            for k, c in enumerate(spectrum.coeffs, 1):
+                fresh.append(Rot(c))
+                fresh += [Refl({n - i}) for i in range(n) if k % (1 << i) == 0]
+            assert word.letters == tuple(fresh)
+            assert len({id(letter) for letter in word.letters}) <= n + len(set(spectrum.coeffs))
 
 
 def test_canonical_rejects_modular_without_params():
@@ -146,12 +164,17 @@ def test_evaluate_invariant_under_simplify_on_cascades():
 
 
 @st.composite
-def _words(draw):
+def _words(draw, shared=False):
+    """Random words; with ``shared``, every position repeats one of at most
+    four letter objects."""
     mode = draw(st.sampled_from((EQB, MGD)))
     n = draw(st.integers(0, 4))
     rot = st.integers(-6, 6) if mode == MGD else st.fractions(-4, 4, max_denominator=8)
     refl = st.frozensets(st.integers(1, n), min_size=1) if n else st.nothing()
-    letters = draw(st.lists(rot.map(Rot) | refl.map(Refl), max_size=16))
+    letter = rot.map(Rot) | refl.map(Refl)
+    if shared:
+        letter = st.sampled_from(draw(st.lists(letter, min_size=1, max_size=4)))
+    letters = draw(st.lists(letter, max_size=16 + 8 * shared))
     return CascadeWord(mode, n, tuple(letters),
                        params=DihedralParams(5) if mode == MGD else None)
 
@@ -162,6 +185,20 @@ def test_simplify_idempotent_and_preserves_every_row(word):
     once = simplify(word)
     assert simplify(once) == once
     assert evaluate_word(once) == evaluate_word(word) == fold_rows(word)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.booleans().flatmap(lambda shared: _words(shared)))
+def test_simplify_equals_letter_by_letter_reference(word):
+    got, want = simplify(word), simplify_reference(word)
+    assert got.letters == want.letters
+    assert str(got) == str(want)
+    # unmerged letters keep their objects; each distinct merged letter is one object
+    inputs = {id(letter) for letter in word.letters}
+    for g, w in zip(got.letters, want.letters):
+        assert g is w if id(w) in inputs else id(g) not in inputs
+    merged = [letter for letter in got.letters if id(letter) not in inputs]
+    assert len({id(letter) for letter in merged}) == len(set(merged))
 
 
 def test_detect_symmetry():
@@ -282,3 +319,25 @@ def test_verify_classical_flags_mismatch():
     report = verify_classical(word, wrong)
     assert not report.passed
     assert [row.ok for row in report.rows] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("control", [1.5, 2.0, "2", True, None])
+def test_reflection_rejects_non_integer_controls(control):
+    with pytest.raises(TypeError, match="control variables must be integers"):
+        Refl({3, control})
+
+
+@pytest.mark.parametrize("mode", [EQB, MGD])
+def test_word_rejects_bool_exponents(mode):
+    with pytest.raises(TypeError, match="got True"):
+        CascadeWord(mode, 1, (Rot(1), Rot(True)), params=D3 if mode == MGD else None)
+
+
+def test_word_rejects_a_bad_letter_repeated_at_many_positions():
+    beyond = Refl({3})
+    half = Rot(Fraction(1, 2))
+    with pytest.raises(ValueError, match="x3"):
+        CascadeWord(EQB, 2, (beyond, half, beyond, Refl({1}), half, beyond, Refl({2})))
+    third = Rot(Fraction(1, 3))
+    with pytest.raises(TypeError, match="MGD exponents must be integers"):
+        CascadeWord(MGD, 2, (third, Rot(1), third, Refl({1}), third, Rot(2)), params=D3)

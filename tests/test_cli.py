@@ -16,7 +16,7 @@ from qcascade.cli import (EMIT_TARGETS, VERBS, JobError, JobSpec, PipelineError,
                           build_parser, emit, job_to_mapping, main, parse_job, report_to_mapping,
                           run_pipeline)
 from qcascade.spectral import TruthVector
-from qcascade.words import EQB, MGD
+from qcascade.words import EQB, MGD, CascadeWord
 from reference_parser import build_subcommand_parser
 
 XOR_JOB = '{"n": 2, "truth": "0110"}'
@@ -255,6 +255,19 @@ def test_report_mapping_marks_ancilla_target():
     assert doc["job"]["dihedral_n"] == 3
 
 
+def test_report_mapping_prints_each_distinct_word_once(monkeypatch):
+    printed = []
+    word_str = CascadeWord.__str__
+    monkeypatch.setattr(CascadeWord, "__str__", lambda w: printed.append(id(w)) or word_str(w))
+    # the final word is the simplified word (MGD) or the reduced word (odd EQB)
+    for text in (MGD_JOB, XOR_JOB, '{"n": 2, "truth": "0110", "symmetry": false}'):
+        report = run_pipeline(parse_job(text))
+        printed.clear()
+        report_to_mapping(report)
+        words = (report.canonical, report.simplified, report.reduced, report.word)
+        assert sorted(printed) == sorted({id(w) for w in words if w is not None})
+
+
 def test_emit_writes_requested_files(tmp_path):
     report = run_pipeline(parse_job('{"n": 2, "truth": "0110", "trace_input": "10", '
                                     '"emit": ["word", "qasm", "json", "bloch-csv"]}'))
@@ -477,6 +490,32 @@ def test_main_usage_errors_exit_one(capsys):
 def test_main_accepts_job_file_after_flags(tmp_path, capsys):
     jobfile = tmp_path / "job.json"
     jobfile.write_text(XOR_JOB)
+    assert main(["verify", "--basis", "y", str(jobfile)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("result: PASS")
+
+
+def test_successive_main_calls_share_no_state(tmp_path, capsys):
+    jobfile = tmp_path / "job.json"
+    jobfile.write_text(MGD_JOB)
+    assert main(["synth", "--n", "2", "--truth", "0110", "--no-symmetry", "--basis", "y"]) == 0
+    out = capsys.readouterr().out
+    assert "basis=Y" in out and "reduced onto" not in out
+    assert main(["synth", "--n", "2", "--truth", "0110"]) == 0
+    out = capsys.readouterr().out
+    assert "basis=X" in out and "reduced onto x2" in out
+    assert main(["synth", str(jobfile), "--emit", "word", "--out-dir", str(tmp_path)]) == 0
+    assert "mode=mgd" in capsys.readouterr().out
+    assert main(["synth"]) == 1
+    assert "give a job file" in capsys.readouterr().err
+    assert main(["synth", "--n", "2", "--truth", "0110"]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    usage = []
+    for argv in (["bogus-command"], ["synth", "--help"], ["bogus-command"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        usage.append(capsys.readouterr().err)
+    assert usage[0] == usage[2] != ""
+    # an exit inside the parse leaves the positionals able to follow the flags
     assert main(["verify", "--basis", "y", str(jobfile)]) == 0
     assert capsys.readouterr().out.rstrip().endswith("result: PASS")
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qcascade.dihedral import (IDENTITY, DihedralParams, GroupElement, RailPermutation,
-                               all_elements, element, evaluate_word, format_element,
-                               inv, mul, to_permutation)
+                               evaluate_word, format_element, mul, to_permutation)
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
+from reference_groups import all_elements, element, inv
 
 D3 = DihedralParams(3)
 A = GroupElement(1, False)

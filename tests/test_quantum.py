@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,21 @@ def test_interaction_graph_flags_triangle():
 def test_interaction_graph_deduplicates_edges():
     circ = QCircuit(2, (Gate(CZ, 0, control=1), Gate(CZ, 1, control=0)), 0)
     assert interaction_graph(circ).edges == ((0, 1),)
+
+
+def test_interaction_graph_same_for_shared_and_fresh_gates():
+    rng = random.Random(29)
+    circuits = []
+    for n in range(1, 7):
+        truth = TruthVector(n, [rng.getrandbits(1) for _ in range(1 << n)])
+        circuits.append(map_to_circuit(simplify(canonical_cascade(spectrum_exact(truth)))))
+    ab, bc, ca = Gate(CZ, 1, control=0), Gate(CZ, 2, control=1), Gate(CZ, 0, control=2)
+    circuits.append(QCircuit(3, (ab, bc, ab, ca, bc, ab), 0))
+    for circuit in circuits:
+        fresh = QCircuit(circuit.num_qubits, tuple(replace(g) for g in circuit.gates),
+                         circuit.target_qubit, circuit.layout)
+        assert len({id(g) for g in fresh.gates}) == len(fresh.gates)
+        assert interaction_graph(fresh) == interaction_graph(circuit)
 
 
 def test_qasm_golden_for_reduced_xor():
