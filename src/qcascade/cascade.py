@@ -107,8 +107,12 @@ class VerificationReport:
     rows: tuple[VerificationRow, ...]
 
     @property
+    def first_failure(self) -> VerificationRow | None:
+        return next((row for row in self.rows if not row.ok), None)
+
+    @property
     def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return self.first_failure is None
 
     def counts(self) -> str:
         good = sum(1 for row in self.rows if row.ok)
@@ -124,22 +128,28 @@ def verify_classical(word: CascadeWord, truth: TruthVector) -> VerificationRepor
     """
     if word.n_vars != truth.n:
         raise ValueError(f"word has {word.n_vars} variables, truth vector has {truth.n}")
+    results = evaluate_word(word)
+    if word.mode == MGD:
+        # evaluate_word shares one object per distinct element, of which a
+        # D_n word has at most 2n: format each distinct element once
+        p = word.params
+        distinct = {id(e): e for e in results}
+        got_text = {key: format_element(e, p) for key, e in distinct.items()}
+        expected = {v: GroupElement(v % p.n, False) for v in set(truth.values)}
+        want_text = {v: format_element(e, p) for v, e in expected.items()}
+        return VerificationReport("classical", tuple(
+            VerificationRow(bits, want_text[want], got_text[id(got)], got == expected[want])
+            for bits, want, got in zip(truth.assignments(), truth.values, results)))
     rows = []
-    for got, want, bits in zip(evaluate_word(word), truth.values, truth.assignments()):
-        if word.mode == MGD:
-            expected = GroupElement(want % word.params.n, False)
-            ok = got == expected
-            rows.append(VerificationRow(bits, format_element(expected, word.params),
-                                        format_element(got, word.params), ok))
+    for got, want, bits in zip(results, truth.values, truth.assignments()):
+        net, refl = got
+        if word.target_var is None:
+            ok = not refl and net == want
+            got_text = f"{net}" + (" g" if refl else "")
         else:
-            net, refl = got
-            if word.target_var is None:
-                ok = not refl and net == want
-                got_text = f"{net}" + (" g" if refl else "")
-            else:
-                valid = not refl and net in (0, 1)
-                out_bit = bits[word.target_var - 1] ^ int(net) if valid else None
-                ok = valid and out_bit == want
-                got_text = str(out_bit) if valid else f"{net}" + (" g" if refl else "")
-            rows.append(VerificationRow(bits, str(want), got_text, ok))
+            valid = not refl and net in (0, 1)
+            out_bit = bits[word.target_var - 1] ^ int(net) if valid else None
+            ok = valid and out_bit == want
+            got_text = str(out_bit) if valid else f"{net}" + (" g" if refl else "")
+        rows.append(VerificationRow(bits, str(want), got_text, ok))
     return VerificationReport("classical", tuple(rows))

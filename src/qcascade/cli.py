@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cascade import (VerificationReport, canonical_cascade, detect_symmetry,
+from .cascade import (VerificationReport, VerificationRow, canonical_cascade, detect_symmetry,
                       reduce_by_symmetry, simplify, verify_classical)
 from .dihedral import DihedralParams
 from .quantum import (CZ, Gate, InteractionGraph, QCircuit, angle_text, bloch_trace_csv,
@@ -428,6 +428,10 @@ def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
     return written
 
 
+def _row_text(row: VerificationRow) -> str:
+    return f"{''.join(map(str, row.assignment))}: expected {row.expected}, got {row.got}"
+
+
 def print_report(report: SynthesisReport, out=None) -> None:
     out = out or sys.stdout
     job = report.job
@@ -444,9 +448,12 @@ def print_report(report: SynthesisReport, out=None) -> None:
     counts = " ".join(f"{k}={v}" for k, v in sorted(report.circuit.gate_counts().items()))
     print(f"circuit: {len(report.circuit.gates)} gates on {report.circuit.num_qubits} qubits "
           f"(target q[{report.circuit.target_qubit}]{', ' + counts if counts else ''})", file=out)
-    print(f"classical check: {report.classical.counts()} rows pass", file=out)
-    if report.quantum is not None:
-        print(f"quantum check: {report.quantum.counts()} rows pass", file=out)
+    for rep in (report.classical, report.quantum):
+        if rep is not None:
+            line = f"{rep.kind} check: {rep.counts()} rows pass"
+            if rep.first_failure is not None:
+                line += f"; first failure {_row_text(rep.first_failure)}"
+            print(line, file=out)
     g = report.connectivity
     print(f"connectivity: {len(g.edges)} edge(s), star={'yes' if g.is_star else 'no'}, "
           f"triangle-free={'yes' if g.triangle_free else 'no'}", file=out)
@@ -555,9 +562,10 @@ def main(argv=None) -> int:
             if rep is None:
                 continue
             for row in rep.rows:
-                bits = "".join(str(b) for b in row.assignment)
-                status = "ok" if row.ok else "MISMATCH"
-                print(f"{rep.kind} {bits}: expected {row.expected}, got {row.got} [{status}]")
+                print(f"{rep.kind} {_row_text(row)} [{'ok' if row.ok else 'MISMATCH'}]")
+        for rep in (report.classical, report.quantum):
+            if rep is not None and rep.first_failure is not None:
+                print(f"{rep.kind} first failure {_row_text(rep.first_failure)}")
         print(f"result: {'PASS' if report.passed else 'FAIL'}")
     else:
         print_report(report)

@@ -93,7 +93,8 @@ def to_permutation(e: GroupElement, p: DihedralParams) -> RailPermutation:
 def evaluate_word(word: CascadeWord) -> list:
     """Fold a cascade word on every input row at once, in row order.
 
-    MGD mode gives one GroupElement of D_n per row.  EQB mode gives pairs
+    MGD mode gives one GroupElement of D_n per row, one shared object per
+    distinct element.  EQB mode gives pairs
     (net rotation exponent as an exact Fraction, residual reflection flag);
     for a cascade realizing a Boolean function the flag is False and the
     exponent is the function value.
@@ -119,5 +120,7 @@ def evaluate_word(word: CascadeWord) -> list:
                 mask ^= 1 << (n - v)
     rows = zip(fwht(buckets), [(x & mask).bit_count() & 1 == 1 for x in range(1 << n)])
     if word.mode == MGD:
-        return [GroupElement(net % word.params.n, refl) for net, refl in rows]
+        keys = [(net % word.params.n, refl) for net, refl in rows]
+        element = {key: GroupElement(*key) for key in set(keys)}
+        return [element[key] for key in keys]
     return [(Fraction(net, den), refl) for net, refl in rows]

@@ -10,7 +10,9 @@ R(theta + 4*pi) = R(theta) exactly and angles are kept in (-2*pi, 2*pi].
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -160,6 +162,19 @@ def map_to_circuit(word: CascadeWord, basis: str = "X", levels: int | None = Non
                     layout=tuple(sorted(qubit_of.items())))
 
 
+def _star_partner(gate: Gate, target: int) -> int | None:
+    """The qubit a CZ joins to the target, or None for a rotation.  Raises
+    ValueError on a gate that does not touch the target."""
+    if gate.kind == CZ:
+        if target not in (gate.target, gate.control):
+            raise ValueError(f"CZ on q[{gate.control}],q[{gate.target}] misses "
+                             f"the target q[{target}]")
+        return gate.control if gate.target == target else gate.target
+    if gate.target != target:
+        raise ValueError(f"{gate.kind} on q[{gate.target}] is off the target q[{target}]")
+    return None
+
+
 def _target_register(circuit: QCircuit, rows: np.ndarray):
     """Simulate a target-centred star circuit on many input rows at once.
 
@@ -181,16 +196,11 @@ def _target_register(circuit: QCircuit, rows: np.ndarray):
     amp[np.arange(len(rows)), bit_of.get(target, 0)] = 1.0
     yield "init", amp
     for gate in circuit.gates:
+        other = _star_partner(gate, target)
         if gate.kind == CZ:
-            if target not in (gate.target, gate.control):
-                raise ValueError(f"CZ on q[{gate.control}],q[{gate.target}] misses "
-                                 f"the target q[{target}]")
-            other = gate.control if gate.target == target else gate.target
             if other in bit_of:
                 amp[bit_of[other] == 1, 1] *= -1
         else:
-            if gate.target != target:
-                raise ValueError(f"{gate.kind} on q[{gate.target}] is off the target q[{target}]")
             mat = rotation_matrix(gate.kind[-1], gate.angle)
             a = amp[:, 0].copy()
             b = amp[:, 1]
@@ -200,21 +210,87 @@ def _target_register(circuit: QCircuit, rows: np.ndarray):
 
 
 def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> VerificationReport:
-    """Statevector check: run every basis assignment through the circuit and
-    require the target qubit to read F(x) with probability >= 1 - tol.
-    ``truth.n`` must equal the circuit's number of inputs."""
+    """Unitary check: every row's whole 2x2 target unitary U_x must be
+    R(pi * b(x)) about the circuit's rotation axis, where b(x) = F(x) xor
+    t(x) and t(x) is the target's own input bit (0 with the ancilla).
+
+    Row x passes when the target, started in |t(x)>, reads F(x) with
+    probability p >= 1 - tol, and every entry of U_x - R(pi * b(x)) has
+    squared modulus <= tol; the row's text is "p=<p>", with " dU=<largest
+    squared entry>" appended when only the unitary comparison fails.  Every
+    gate must touch the target, and all rotations must share one axis (the
+    compiler emits one per circuit): a circuit that mixes RX and RY raises
+    ValueError.  ``truth.n`` must equal the circuit's number of inputs.
+
+    All rows run at once in real arithmetic, as one (2, 2 * 2^n) array
+    whose column c * 2^n + x holds U_x|c>: one 2x2 matmul per rotation and
+    one sign vector per run of consecutive CZ gates.  An RX circuit runs as
+    the RY circuit with the same angles, since S RX(theta) S^dag = RY(theta)
+    and S Z S^dag = Z for S = diag(1, i): that conjugation changes only the
+    phases of U_x's entries, and it maps the expected RX(pi * b) to
+    RY(pi * b).
+    """
     if not truth.is_boolean:
         raise ValueError("quantum verification expects a Boolean truth vector")
     n = truth.n
-    rows = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    for _, amp in _target_register(circuit, rows):
-        pass
-    report_rows = []
-    for bits, want, p_one in zip(truth.assignments(), truth.values, np.abs(amp[:, 1]) ** 2):
-        p_want = float(p_one) if want else 1.0 - float(p_one)
-        report_rows.append(VerificationRow(bits, str(want), f"p={p_want:.12g}",
-                                           p_want >= 1.0 - tol))
-    return VerificationReport("quantum", tuple(report_rows))
+    if len(circuit.layout) != n:
+        raise ValueError(f"circuit reads {len(circuit.layout)} input bits, "
+                         f"truth vector has {n}")
+    axes = {g.kind for g in circuit.gates} - {CZ}
+    if len(axes) > 1:
+        raise ValueError("circuit mixes RX and RY rotations")
+    target = circuit.target_qubit
+    size = 1 << n
+    # column c * 2^n + x holds input x_v at bit n - v, for either c
+    cols = np.arange(2 * size)
+    bit_of = {q: (cols >> (n - v)) & 1 for v, q in circuit.layout}
+    u = np.zeros((2, 2 * size))
+    u[0, :size] = u[1, size:] = 1.0
+    buf = np.empty_like(u)
+    # one matrix per distinct rotation and one sign vector per distinct CZ
+    # run, keyed by gate identity (map_to_circuit shares equal gates)
+    mats: dict[int, np.ndarray] = {}
+    flips: dict[tuple[int, ...], np.ndarray] = {}
+    for kind, group in itertools.groupby(circuit.gates, key=operator.attrgetter("kind")):
+        if kind == CZ:
+            run = tuple(group)
+            key = tuple(map(id, run))
+            flip = flips.get(key)
+            if flip is None:
+                parity = 0
+                for gate in run:
+                    other = _star_partner(gate, target)
+                    if other in bit_of:
+                        parity = parity ^ bit_of[other]
+                flip = flips[key] = 1.0 - 2.0 * parity
+            u[1] *= flip
+            continue
+        for gate in group:
+            mat = mats.get(id(gate))
+            if mat is None:
+                _star_partner(gate, target)
+                mat = mats[id(gate)] = rotation_matrix("Y", gate.angle).real
+            np.matmul(mat, u, out=buf)
+            u, buf = buf, u
+    want = np.array(truth.values)
+    start = bit_of[target][:size] if target in bit_of else 0
+    flipped = want ^ start
+    p_one = u[1, start * size + cols[:size]] ** 2
+    p_want = np.where(want == 1, p_one, 1.0 - p_one)
+    expected = np.empty_like(u)
+    expected[0, :size] = expected[1, size:] = 1 - flipped
+    expected[0, size:] = -flipped
+    expected[1, :size] = flipped
+    dist = ((u - expected) ** 2).reshape(4, size).max(axis=0)
+    p_ok = p_want >= 1.0 - tol
+    ok = p_ok & (dist <= tol)
+    p_list = p_want.tolist()
+    text_of = {p: f"p={p:.12g}" for p in set(p_list)}  # few distinct values
+    got = [text_of[p] for p in p_list]
+    for i in np.flatnonzero(p_ok & ~ok).tolist():
+        got[i] += f" dU={dist[i]:.12g}"
+    return VerificationReport("quantum", tuple(map(
+        VerificationRow, truth.assignments(), map(str, truth.values), got, ok.tolist())))
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,28 @@ alone through the whole 2^num_qubits statevector, where amplitude index bit
 q holds qubit q (little-endian).
 """
 
+import math
+
 import numpy as np
 
 from qcascade.cascade import VerificationReport, VerificationRow
 from qcascade.quantum import CZ, rotation_matrix
 
 
-def run_row(circuit, bits) -> np.ndarray:
-    """Statevector after the circuit, starting from the basis state that puts
-    x_v on its layout qubit and every other qubit in |0>."""
-    num_qubits = circuit.num_qubits
+def _start_index(circuit, bits) -> int:
     index = 0
     for v, q in circuit.layout:
         index |= (int(bits[v - 1]) & 1) << q
+    return index
+
+
+def run_row(circuit, bits, index=None) -> np.ndarray:
+    """Statevector after the circuit, starting from the basis state that puts
+    x_v on its layout qubit and every other qubit in |0>, or from basis
+    state ``index`` when given."""
+    num_qubits = circuit.num_qubits
+    if index is None:
+        index = _start_index(circuit, bits)
     state = np.zeros(1 << num_qubits, dtype=complex)
     state[index] = 1.0
     qubit_bits = np.arange(1 << num_qubits)
@@ -50,3 +59,35 @@ def verify_rows(circuit, truth, tol: float = 1e-9) -> VerificationReport:
         p_want = p if want else 1.0 - p
         rows.append(VerificationRow(bits, str(want), f"p={p_want:.12g}", p_want >= 1.0 - tol))
     return VerificationReport("quantum", tuple(rows))
+
+
+def strict_rows(circuit, truth, tol: float = 1e-9) -> list[tuple[bool, float]]:
+    """Per row, ``verify_quantum``'s strict verdict and the largest squared
+    distance, from full statevectors.
+
+    Row x starts the target qubit in |t> (t = the target's own input bit, 0
+    with the ancilla) and must read F(x) with probability >= 1 - tol.  Run
+    from the row's basis state with the target set to |0> and to |1>, the
+    whole statevector must also equal R(pi * (F(x) xor t)) applied to the
+    target alone, about the axis of the circuit's rotations, within a
+    squared distance of tol per amplitude.
+    """
+    axis = next((g.kind[-1] for g in circuit.gates if g.kind != CZ), "X")
+    target = circuit.target_qubit
+    target_var = dict((q, v) for v, q in circuit.layout).get(target)
+    out = []
+    for bits, want in zip(truth.assignments(), truth.values):
+        start = bits[target_var - 1] if target_var is not None else 0
+        rot = rotation_matrix(axis, math.pi * (want ^ start))
+        base = _start_index(circuit, bits) & ~(1 << target)
+        dist = 0.0
+        for c in (0, 1):
+            state = run_row(circuit, bits, index=base | (c << target))
+            expected = np.zeros_like(state)
+            expected[base] = rot[0, c]
+            expected[base | (1 << target)] = rot[1, c]
+            dist = max(dist, float(np.max(np.abs(state - expected) ** 2)))
+        p = p_one(circuit, bits)
+        p_want = p if want else 1.0 - p
+        out.append((p_want >= 1.0 - tol and dist <= tol, dist))
+    return out

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry,
-                              simplify, verify_classical)
-from qcascade.dihedral import DihedralParams, GroupElement, evaluate_word
+from qcascade.cascade import (VerificationRow, canonical_cascade, detect_symmetry,
+                              reduce_by_symmetry, simplify, verify_classical)
+from qcascade.dihedral import DihedralParams, GroupElement, evaluate_word, format_element
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
-from reference_fold import fold_rows
+from reference_fold import fold_row, fold_rows
 from reference_simplify import simplify_reference
 
 D3 = DihedralParams(3)
@@ -304,6 +304,26 @@ def test_verify_classical_multivalued_mgd():
         word = simplify(canonical_cascade(spectrum_mod(truth, 3), D3))
         report = verify_classical(word, truth)
         assert report.passed, report.rows
+
+
+def test_verify_classical_mgd_rows_equal_per_row_reference():
+    rng = random.Random(41)
+    for order in (3, 5, 7):
+        params = DihedralParams(order)
+        for n in range(1, 7):
+            levels = rng.randrange(2, order + 1)
+            truth = TruthVector(n, [rng.randrange(levels) for _ in range(1 << n)])
+            canonical = canonical_cascade(spectrum_mod(truth, order), params)
+            # a second truth table with every other row changed gives failing rows
+            wrong = TruthVector(n, [v + x % 2 for x, v in enumerate(truth.values)])
+            for word in (canonical, simplify(canonical)):
+                for t in (truth, wrong):
+                    want = []
+                    for bits, value in zip(t.assignments(), t.values):
+                        got, expected = fold_row(word, bits), GroupElement(value % order)
+                        want.append(VerificationRow(bits, format_element(expected, params),
+                                                    format_element(got, params), got == expected))
+                    assert verify_classical(word, t).rows == tuple(want)
 
 
 def test_verify_classical_rejects_variable_count_mismatch():

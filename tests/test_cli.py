@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from qcascade.cli import (EMIT_TARGETS, VERBS, JobError, JobSpec, PipelineError,
                           build_parser, emit, job_to_mapping, main, parse_job, report_to_mapping,
                           run_pipeline)
 from qcascade.spectral import TruthVector
-from qcascade.words import EQB, MGD, CascadeWord
+from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_parser import build_subcommand_parser
 
 XOR_JOB = '{"n": 2, "truth": "0110"}'
@@ -539,6 +540,26 @@ def test_main_verification_failure_exits_two(monkeypatch, capsys):
     assert "result: FAIL" in capsys.readouterr().out
     assert main(["verify", "--n", "2", "--truth", "0110"]) == 2
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_failing_job_names_its_first_failing_row(monkeypatch, capsys):
+    import qcascade.cli as cli
+
+    # a^1 g[x1] a^1 g[x2] reads 0 on every row but leaves -I, Z or -Z on three
+    gap = CascadeWord(EQB, 2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
+    monkeypatch.setattr(cli, "simplify", lambda word: gap)
+    for basis in ("x", "y"):
+        argv = ["--n", "2", "--truth", "0000", "--basis", basis]
+        assert main(["synth", *argv]) == 2
+        out = capsys.readouterr().out
+        assert "\nclassical check: 1/4 rows pass; first failure 00: expected 0, got 2\n" in out
+        assert ("\nquantum check: 1/4 rows pass; first failure 00: expected 0, got p=1 dU=4\n"
+                in out)
+        assert main(["verify", *argv]) == 2
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "classical first failure 00: expected 0, got 2",
+            "quantum first failure 00: expected 0, got p=1 dU=4",
+            "result: FAIL"]
 
 
 _FLAG_VALUES = {

@@ -15,7 +15,7 @@ from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, _target_re
                               rotation_matrix, to_qasm, verify_quantum)
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
-from reference_statevector import p_one, verify_rows
+from reference_statevector import p_one, strict_rows, verify_rows
 
 XOR2 = TruthVector.from_bits("0110")
 
@@ -125,9 +125,10 @@ def test_circuit_validation():
     assert circ.gate_counts() == {RX: 2, CZ: 1}
 
 
-def _random_star_circuit(rng, n, target_is_input):
-    """RX/RY rotations of the target and CZ gates from inputs to it, with
-    random pi_frac angles, in either of the two layouts map_to_circuit uses."""
+def _random_star_circuit(rng, n, target_is_input, kinds=(RX, RY)):
+    """Rotations of the target, of the given kinds, and CZ gates from inputs
+    to it, with random pi_frac angles, in either of the two layouts
+    map_to_circuit uses."""
     if target_is_input:
         layout, target, num_qubits = tuple((v, v - 1) for v in range(1, n + 1)), n - 1, n
     else:
@@ -138,7 +139,7 @@ def _random_star_circuit(rng, n, target_is_input):
         if inputs and rng.random() < 0.4:
             gates.append(Gate(CZ, target, control=rng.choice(inputs)))
         else:
-            gates.append(Gate(rng.choice((RX, RY)), target,
+            gates.append(Gate(rng.choice(kinds), target,
                               pi_frac=Fraction(rng.randrange(-16, 17), rng.randrange(1, 9))))
     return QCircuit(num_qubits, tuple(gates), target, layout)
 
@@ -296,6 +297,93 @@ def test_verify_quantum_rows_equal_full_statevector_reference():
             for reduce in layouts:
                 circ = _compiled(truth, basis, reduce)
                 assert verify_quantum(circ, truth).rows == verify_rows(circ, truth).rows
+
+
+def _planted_faults(rng, circuit):
+    """Two broken copies of a circuit: one rotation shifted by 2*pi, which
+    flips the sign of every U_x, and two CZs inserted at random positions,
+    which leave a Z on the target where they do not cancel."""
+    gates = list(circuit.gates)
+    rotations = [i for i, g in enumerate(gates) if g.kind != CZ]
+    shifted = gates.copy()
+    if rotations:
+        i = rng.choice(rotations)
+        shifted[i] = Gate(gates[i].kind, gates[i].target, pi_frac=gates[i].pi_frac + 2)
+    inputs = [q for _, q in circuit.layout if q != circuit.target_qubit]
+    paired = gates.copy()
+    for _ in range(2 if inputs else 0):
+        paired.insert(rng.randrange(len(paired) + 1),
+                      Gate(CZ, circuit.target_qubit, control=rng.choice(inputs)))
+    return [replace(circuit, gates=tuple(g)) for g in (shifted, paired)]
+
+
+def test_verify_quantum_ok_equals_full_unitary_reference():
+    rng = random.Random(6021)
+    cases = []
+    for n in range(1, 6):
+        for basis in ("X", "Y"):
+            truth = TruthVector(n, [rng.getrandbits(1) for _ in range(1 << n)])
+            odd = TruthVector(n, [b for _ in range(1 << (n - 1)) for h in [rng.getrandbits(1)]
+                                  for b in (h, 1 - h)])
+            for t, reduce in ((truth, False), (odd, False), (odd, True)):
+                circ = _compiled(t, basis, reduce)
+                cases += [(c, t) for c in [circ] + _planted_faults(rng, circ)]
+            kind = RX if basis == "X" else RY
+            for target_is_input in (False, True):
+                circ = _random_star_circuit(rng, n, target_is_input, kinds=(kind,))
+                cases += [(c, truth) for c in [circ] + _planted_faults(rng, circ)]
+    verdicts = set()
+    for circ, truth in cases:
+        oks = [row.ok for row in verify_quantum(circ, truth).rows]
+        assert oks == [ok for ok, _ in strict_rows(circ, truth)]
+        verdicts.add(tuple(sorted(set(oks))))
+    assert verdicts == {(False,), (True,), (False, True)}
+
+
+def test_verify_quantum_sign_flip_fails_every_row_on_the_unitary_alone():
+    rng = random.Random(6022)
+    for basis in ("X", "Y"):
+        truth = TruthVector(4, [rng.getrandbits(1) for _ in range(16)])
+        flipped, _ = _planted_faults(rng, _compiled(truth, basis, False))
+        report = verify_quantum(flipped, truth)
+        assert report.counts() == "0/16"
+        assert {row.got for row in report.rows} == {"p=1 dU=4"}
+
+
+def test_verify_quantum_catches_a_leftover_reflection_the_probability_misses():
+    # a^1 g[x1] a^1 g[x2] reads 0 on every row but is -I, Z or -Z on three
+    word = CascadeWord(EQB, 2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
+    truth = TruthVector.from_bits("0000")
+    assert verify_classical(word, truth).counts() == "1/4"
+    for basis in ("X", "Y"):
+        report = verify_quantum(map_to_circuit(word, basis=basis), truth)
+        assert report.counts() == "1/4"
+        assert [row.got for row in report.rows] == ["p=1 dU=4"] * 3 + ["p=1"]
+        assert report.first_failure is report.rows[0]
+
+
+@pytest.mark.parametrize("gates, value, ok, got", [
+    ((), 0, True, "p=1"),
+    ((), 1, False, "p=0"),
+    ((Gate(RX, 0, pi_frac=Fraction(1)),), 1, True, "p=1"),
+    ((Gate(RY, 0, pi_frac=Fraction(-1)),), 1, False, "p=1 dU=4"),
+    ((Gate(RX, 0, pi_frac=Fraction(3)),), 1, False, "p=1 dU=4"),
+    ((Gate(RY, 0, pi_frac=Fraction(2)),), 0, False, "p=1 dU=4"),
+    ((Gate(RY, 0, pi_frac=Fraction(1, 2)),) * 4, 0, False, "p=1 dU=4"),
+    ((Gate(RX, 0, pi_frac=Fraction(1, 2)),) * 8, 0, True, "p=1"),
+])
+def test_verify_quantum_without_inputs(gates, value, ok, got):
+    circ, truth = QCircuit(1, gates, 0), TruthVector(0, [value])
+    (row,) = verify_quantum(circ, truth).rows
+    assert (row.ok, row.got) == (ok, got)
+    assert [row.ok] == [ok for ok, _ in strict_rows(circ, truth)]
+
+
+def test_verify_quantum_rejects_mixed_rotation_axes():
+    circ = QCircuit(2, (Gate(RX, 0, pi_frac=Fraction(1, 2)), Gate(CZ, 0, control=1),
+                        Gate(RY, 0, pi_frac=Fraction(1, 2))), 0, ((1, 1),))
+    with pytest.raises(ValueError, match="mixes RX and RY"):
+        verify_quantum(circ, TruthVector.from_bits("01"))
 
 
 OFF_TARGET = {

@@ -1,0 +1,83 @@
+"""Per-stage pipeline timings at n = 4 to 14, written to BENCH_pipeline.json.
+
+Each size runs full EQB synthesis (both checks, symmetry reduction off,
+``allow_large``) on one random truth table per seed: one untimed warm-up
+run, then several timed runs (one at n >= 12, where a run takes seconds).
+It records the median of each stage of ``SynthesisReport.timings`` and of
+their sum.  The truth table for seed s is drawn as in acceptance criterion
+8: ``random.Random(s).getrandbits(1)`` per row, row 0 first.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tools/bench_pipeline.py [--sizes 4 6 8] [--out PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+
+import numpy as np
+
+from qcascade.cli import parse_job, run_pipeline
+
+SIZES = (4, 6, 8, 10, 12, 14)
+SEEDS = (8, 9, 10)
+
+
+def repeats(n: int) -> int:
+    """Timed runs per truth table."""
+    return 20 if n <= 8 else 5 if n <= 10 else 1
+
+
+def bench_size(n: int) -> dict:
+    totals: list[float] = []
+    stages: dict[str, list[float]] = {}
+    gates = set()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        truth = "".join(str(rng.getrandbits(1)) for _ in range(1 << n))
+        job = parse_job(json.dumps({"n": n, "truth": truth, "symmetry": False}),
+                        allow_large=True)
+        run_pipeline(job)  # warm-up, not timed
+        for _ in range(repeats(n)):
+            report = run_pipeline(job)
+            if not report.passed:
+                raise SystemExit(f"n={n} seed={seed}: verification failed")
+            gates.add(len(report.circuit.gates))
+            totals.append(sum(report.timings.values()))
+            for stage, seconds in report.timings.items():
+                stages.setdefault(stage, []).append(seconds)
+    return {"runs": len(totals),
+            "gates": sorted(gates),
+            "total_s": statistics.median(totals),
+            "stages_s": {stage: statistics.median(v) for stage, v in stages.items()}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    parser.add_argument("--out", default="BENCH_pipeline.json")
+    args = parser.parse_args(argv)
+    result = {"host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                       "python": platform.python_version(), "numpy": np.__version__},
+              "seeds": list(SEEDS),
+              "sizes": {}}
+    for n in args.sizes:
+        result["sizes"][str(n)] = row = bench_size(n)
+        stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in row["stages_s"].items())
+        print(f"n={n}: total {row['total_s'] * 1e3:.2f} ms over {row['runs']} runs ({stages})",
+              file=sys.stderr)
+    with open(args.out, "w") as f:
+        json.dump(result, f, indent=2)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
