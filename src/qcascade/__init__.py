@@ -10,8 +10,7 @@ from .cascade import (VerificationReport, VerificationRow, canonical_cascade,
                       detect_symmetry, reduce_by_symmetry, simplify, verify_classical)
 from .cli import (JobError, JobSpec, PipelineError, SynthesisReport, emit,
                   parse_job, run_pipeline)
-from .dihedral import (IDENTITY, DihedralParams, GroupElement, RailPermutation,
-                       evaluate_word, format_element, mul, to_permutation)
+from .dihedral import DihedralParams, GroupElement, evaluate_word, format_element
 from .quantum import (BlochPoint, Gate, InteractionGraph, QCircuit, bloch_trace,
                       bloch_trace_csv, interaction_graph, map_to_circuit,
                       rotation_matrix, to_qasm, verify_quantum)
@@ -22,15 +21,15 @@ from .words import EQB, MGD, CascadeWord, Refl, Rot
 __version__ = "0.1.0"
 
 __all__ = [
-    "EQB", "MGD", "IDENTITY",
+    "EQB", "MGD",
     "BlochPoint", "CascadeWord", "DihedralParams", "Gate", "GroupElement",
     "InteractionGraph", "JobError", "JobSpec", "PipelineError", "QCircuit",
-    "RailPermutation", "Refl", "Rot", "SynthesisReport", "TruthVector",
+    "Refl", "Rot", "SynthesisReport", "TruthVector",
     "VerificationReport", "VerificationRow", "WalshSpectrum",
     "bloch_trace", "bloch_trace_csv",
     "canonical_cascade", "detect_symmetry", "emit", "evaluate_word",
     "format_element", "fwht", "interaction_graph", "map_to_circuit",
-    "modinv", "mul", "parse_job", "reduce_by_symmetry", "rotation_matrix",
+    "modinv", "parse_job", "reduce_by_symmetry", "rotation_matrix",
     "run_pipeline", "simplify", "spectrum_exact", "spectrum_mod",
-    "to_permutation", "to_qasm", "verify_classical", "verify_quantum",
+    "to_qasm", "verify_classical", "verify_quantum",
 ]

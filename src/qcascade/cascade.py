@@ -80,7 +80,7 @@ def detect_symmetry(truth: TruthVector) -> bool:
     return all(v[i] != v[i + 1] for i in range(0, len(v), 2))
 
 
-def reduce_by_symmetry(truth: TruthVector, params: DihedralParams | None = None) -> CascadeWord:
+def reduce_by_symmetry(truth: TruthVector) -> CascadeWord:
     """Cascade for the residual h = f(..., 0), retargeted onto input x_n.
 
     The returned word references only x_1..x_(n-1) and flips the last input

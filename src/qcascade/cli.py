@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -328,79 +327,6 @@ def report_to_mapping(report: SynthesisReport) -> dict:
     }
 
 
-_INDENT = "  "
-_CONTAINERS = (list, tuple, dict)
-
-
-@functools.cache
-def _encoder(level: int) -> json.JSONEncoder:
-    """Compact encoder whose item separator starts a new line at ``level``.
-
-    With ``indent=None`` json runs its C encoder; with an indent it runs
-    the pure-Python one, node by node."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * level, ": "))
-
-
-def _flat_brackets(obj) -> str | None:
-    """'{}' or '[]' for a non-empty dict or list that holds no container, else None."""
-    if isinstance(obj, dict):
-        values, brackets = obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
-        values, brackets = obj, "[]"
-    else:
-        return None
-    if not obj or any(isinstance(v, _CONTAINERS) for v in values):
-        return None
-    return brackets
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return _encoder(0).encode(key)
-    return _encoder(0).encode({key: 0})[1:-4]  # json's own key text: 1 -> "1", None -> "null"
-
-
-def _dumps(obj, level: int = 0) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for a JSON tree,
-    as if its first line were indented ``level`` steps, but mostly C-encoded.
-
-    A flat container (no container inside) is one C-encoder call whose
-    brackets are then moved onto their own lines.  A list of flat containers
-    of one kind is one call too, over its distinct items (an item repeated
-    by identity, such as a shared gate entry, is encoded once): the text is
-    cut at the item boundaries, "}" or "]" followed by the separator and "{"
-    or "[", and the pieces are joined back in list order with the indented
-    boundary.  JSON escapes every newline inside a string, so the separator,
-    and with it the boundary, never occurs inside a value.  Anything else
-    recurses.
-    """
-    pad = "\n" + _INDENT * level
-    inner = pad + _INDENT
-    brackets = _flat_brackets(obj)
-    if brackets:
-        text = _encoder(level + 1).encode(obj)
-        return f"{text[0]}{inner}{text[1:-1]}{pad}{text[-1]}"
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return _encoder(0).encode(obj)
-    if isinstance(obj, dict):
-        brackets = "{}"
-        body = [f"{_key_text(k)}: {_dumps(v, level + 1)}" for k, v in sorted(obj.items())]
-    else:
-        brackets = "[]"
-        distinct = list({id(v): v for v in obj}.values())
-        kinds = {_flat_brackets(v) for v in distinct}
-        if len(kinds) == 1 and None not in kinds:
-            (o, c), = kinds
-            enc = _encoder(level + 2)
-            texts = enc.encode(distinct)[2:-2].split(c + enc.item_separator + o)
-            text_of = {id(v): t for v, t in zip(distinct, texts)}
-            deeper = inner + _INDENT
-            body = f"{inner}{c},{inner}{o}{deeper}".join([text_of[id(v)] for v in obj])
-            return f"[{inner}{o}{deeper}{body}{inner}{c}{pad}]"
-        body = [_dumps(v, level + 1) for v in obj]
-    return brackets[0] + inner + ("," + inner).join(body) + pad + brackets[1]
-
-
 def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
     """Write the requested artifacts; returns target -> path."""
     out_dir = Path(out_dir)
@@ -415,7 +341,7 @@ def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
             path.write_text(to_qasm(report.circuit))
         elif target == "json":
             path = out_dir / "report.json"
-            path.write_text(_dumps(report_to_mapping(report)) + "\n")
+            path.write_text(json.dumps(report_to_mapping(report), sort_keys=True) + "\n")
         elif target == "bloch-csv":
             if report.job.trace_input is None:
                 raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
@@ -503,6 +429,9 @@ def build_parser() -> CliParser:
     parser.add_argument("--input", help="assignment bits for the Bloch trace")
     parser.add_argument("--force-large", action="store_true",
                         help=f"allow more than {MAX_VARS_DEFAULT} variables")
+    # parse_intermixed_args formats the usage text on every call while it is
+    # unset; this is the text it would format (format_usage minus "usage: ")
+    parser.usage = parser.format_usage()[7:]
     return parser
 
 

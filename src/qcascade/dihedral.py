@@ -6,7 +6,7 @@ Elements are written in the normal form a^r g^s with 0 <= r < n and s in
 
     a^i g^s . a^j g^t = a^(i + j * (-1)^s) g^(s xor t)
 
-with words and permutations composed left to right.
+with words composed left to right.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ class GroupElement:
     refl: bool = False
 
 
-IDENTITY = GroupElement(0, False)
-
-
-def mul(e1: GroupElement, e2: GroupElement, p: DihedralParams) -> GroupElement:
-    rot = e1.rot - e2.rot if e1.refl else e1.rot + e2.rot
-    return GroupElement(rot % p.n, e1.refl != e2.refl)
-
-
 def format_element(e: GroupElement, p: DihedralParams) -> str:
     """Display form: "I", "a^k", "g", "a^k g" with k the signed residue."""
     k = e.rot
@@ -54,40 +46,6 @@ def format_element(e: GroupElement, p: DihedralParams) -> str:
     if k == 0:
         return "g" if e.refl else "I"
     return f"a^{k} g" if e.refl else f"a^{k}"
-
-
-@dataclass(frozen=True)
-class RailPermutation:
-    """Action on the n rails 0..n-1; image[i] is where rail i is sent."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "image", tuple(self.image))
-        if sorted(self.image) != list(range(len(self.image))):
-            raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image}")
-
-    def then(self, other: "RailPermutation") -> "RailPermutation":
-        """Composition in application order: self first, then other."""
-        if len(self.image) != len(other.image):
-            raise ValueError("permutation sizes differ")
-        return RailPermutation(tuple(other.image[i] for i in self.image))
-
-
-def to_permutation(e: GroupElement, p: DihedralParams) -> RailPermutation:
-    """Rail action: a maps i to i+1 mod n, g maps i to (n - i) mod n.
-
-    The rotation acts first, then the reflection, which makes
-    to_permutation(mul(e1, e2)) == to_permutation(e1).then(to_permutation(e2)).
-    """
-    n = p.n
-    image = []
-    for i in range(n):
-        j = (i + e.rot) % n
-        if e.refl:
-            j = (n - j) % n
-        image.append(j)
-    return RailPermutation(tuple(image))
 
 
 def evaluate_word(word: CascadeWord) -> list:

@@ -175,40 +175,6 @@ def _star_partner(gate: Gate, target: int) -> int | None:
     return None
 
 
-def _target_register(circuit: QCircuit, rows: np.ndarray):
-    """Simulate a target-centred star circuit on many input rows at once.
-
-    ``rows`` holds one assignment per row, x_v in column v - 1.  Every gate
-    must touch the target: rotations act on it alone and each CZ joins it to
-    one other qubit.  The other qubits then stay in the basis state the row
-    sets (|0> when no input sits on them), so the target's two amplitudes
-    are the whole state of a row and a CZ flips the sign of |1> on the rows
-    where the other qubit is 1.  Yields ("init", amp) and then (gate kind,
-    amp) after each gate, where amp is one (rows, 2) complex array updated
-    in place.
-    """
-    if rows.shape[1] != len(circuit.layout):
-        raise ValueError(f"circuit reads {len(circuit.layout)} input bits, "
-                         f"got rows of {rows.shape[1]}")
-    target = circuit.target_qubit
-    bit_of = {q: rows[:, v - 1] for v, q in circuit.layout}
-    amp = np.zeros((len(rows), 2), dtype=complex)
-    amp[np.arange(len(rows)), bit_of.get(target, 0)] = 1.0
-    yield "init", amp
-    for gate in circuit.gates:
-        other = _star_partner(gate, target)
-        if gate.kind == CZ:
-            if other in bit_of:
-                amp[bit_of[other] == 1, 1] *= -1
-        else:
-            mat = rotation_matrix(gate.kind[-1], gate.angle)
-            a = amp[:, 0].copy()
-            b = amp[:, 1]
-            amp[:, 0] = mat[0, 0] * a + mat[0, 1] * b
-            amp[:, 1] = mat[1, 0] * a + mat[1, 1] * b
-        yield gate.kind, amp
-
-
 def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> VerificationReport:
     """Unitary check: every row's whole 2x2 target unitary U_x must be
     R(pi * b(x)) about the circuit's rotation axis, where b(x) = F(x) xor
@@ -301,21 +267,44 @@ class BlochPoint:
     phi: float
 
 
-def _bloch_point(amp: np.ndarray) -> BlochPoint:
-    rho = np.outer(amp, amp.conj())
-    z = min(1.0, max(-1.0, float(rho[0, 0].real - rho[1, 1].real)))
-    x = 2.0 * float(rho[0, 1].real)
-    y = -2.0 * float(rho[0, 1].imag)
+def _bloch_point(a: complex, b: complex) -> BlochPoint:
+    r01 = a * b.conjugate()
+    z = min(1.0, max(-1.0, (a * a.conjugate()).real - (b * b.conjugate()).real))
+    x = 2.0 * r01.real
+    y = -2.0 * r01.imag
     theta = math.acos(z)
     phi = math.atan2(y, x) % (2.0 * math.pi) if math.hypot(x, y) >= 1e-9 else 0.0
     return BlochPoint(theta, phi)
 
 
 def _traced(circuit: QCircuit, assignment) -> list[tuple[str, BlochPoint]]:
+    """Label and Bloch point of the target before the first gate and after each gate.
+
+    Every gate must touch the target: rotations act on it alone and each CZ
+    joins it to one other qubit.  The other qubits then stay in the basis
+    state the row sets (|0> when no input sits on them), so the target's two
+    amplitudes (a, b) are the whole state of the row, and a CZ flips the
+    sign of b when the other qubit is 1.
+    """
     if any(b not in (0, 1, "0", "1") for b in assignment):
         raise ValueError(f"assignment entries must be 0 or 1, got {assignment!r}")
-    rows = np.array([[int(b) for b in assignment]], dtype=np.int64)
-    return [(label, _bloch_point(amp[0])) for label, amp in _target_register(circuit, rows)]
+    if len(assignment) != len(circuit.layout):
+        raise ValueError(f"circuit reads {len(circuit.layout)} input bits, "
+                         f"got {len(assignment)}")
+    target = circuit.target_qubit
+    bit_of = {q: int(assignment[v - 1]) for v, q in circuit.layout}
+    a, b = (0j, 1 + 0j) if bit_of.get(target) else (1 + 0j, 0j)
+    points = [("init", _bloch_point(a, b))]
+    for gate in circuit.gates:
+        other = _star_partner(gate, target)
+        if gate.kind == CZ:
+            if bit_of.get(other):
+                b = -b
+        else:
+            (m00, m01), (m10, m11) = rotation_matrix(gate.kind[-1], gate.angle).tolist()
+            a, b = m00 * a + m01 * b, m10 * a + m11 * b
+        points.append((gate.kind, _bloch_point(a, b)))
+    return points
 
 
 def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qcascade.dihedral import (IDENTITY, DihedralParams, GroupElement, RailPermutation,
-                               evaluate_word, format_element, mul, to_permutation)
+from qcascade.dihedral import DihedralParams, GroupElement, evaluate_word, format_element
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
-from reference_groups import all_elements, element, inv
+from reference_groups import (IDENTITY, RailPermutation, all_elements, element, inv, mul,
+                              to_permutation)
 
 D3 = DihedralParams(3)
 A = GroupElement(1, False)

@@ -10,9 +10,9 @@ import pytest
 from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry, simplify,
                               verify_classical)
 from qcascade.dihedral import DihedralParams
-from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, _target_register,
-                              bloch_trace, bloch_trace_csv, interaction_graph, map_to_circuit,
-                              rotation_matrix, to_qasm, verify_quantum)
+from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, bloch_trace,
+                              bloch_trace_csv, interaction_graph, map_to_circuit, rotation_matrix,
+                              to_qasm, verify_quantum)
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_statevector import p_one, strict_rows, verify_rows
@@ -145,16 +145,17 @@ def _random_star_circuit(rng, n, target_is_input, kinds=(RX, RY)):
 
 
 def test_random_circuits_preserve_norm():
+    # the trace's z = |a|^2 - |b|^2 gives (1 - z) / 2 = |b|^2, the
+    # statevector's p_one, only while |a|^2 + |b|^2 stays 1
     rng = random.Random(911)
     for _ in range(30):
         n = rng.randrange(1, 5)
         circ = _random_star_circuit(rng, n, target_is_input=rng.random() < 0.5)
-        rows = np.array(list(itertools.product((0, 1), repeat=n)))
-        for _, amp in _target_register(circ, rows):
-            norms = np.sum(np.abs(amp) ** 2, axis=1)
-            assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
-        for bits, p in zip(rows, np.abs(amp[:, 1]) ** 2):
-            assert math.isclose(p, p_one(circ, bits), rel_tol=0, abs_tol=1e-12)
+        for bits in itertools.product((0, 1), repeat=n):
+            for k, point in enumerate(bloch_trace(circ, bits)):
+                prefix = replace(circ, gates=circ.gates[:k])
+                assert math.isclose((1.0 - math.cos(point.theta)) / 2.0, p_one(prefix, bits),
+                                    rel_tol=0, abs_tol=1e-12)
 
 
 def test_map_to_circuit_standard_layout():

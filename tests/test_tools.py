@@ -18,3 +18,4 @@ def test_bench_pipeline_writes_stage_medians(tmp_path):
         assert set(row["stages_s"]) == {"spectrum", "cascade", "simplify", "map",
                                         "verify_classical", "verify_quantum", "connectivity"}
         assert row["total_s"] > 0
+        assert row["emit_json_s"] > 0

@@ -3,9 +3,10 @@
 Each size runs full EQB synthesis (both checks, symmetry reduction off,
 ``allow_large``) on one random truth table per seed: one untimed warm-up
 run, then several timed runs (one at n >= 12, where a run takes seconds).
-It records the median of each stage of ``SynthesisReport.timings`` and of
-their sum.  The truth table for seed s is drawn as in acceptance criterion
-8: ``random.Random(s).getrandbits(1)`` per row, row 0 first.
+It records the median of each stage of ``SynthesisReport.timings``, of
+their sum, and of the time ``emit`` takes to write the run's report.json
+(``emit_json_s``).  The truth table for seed s is drawn as in acceptance
+criterion 8: ``random.Random(s).getrandbits(1)`` per row, row 0 first.
 
 Run from the repository root:
 
@@ -21,10 +22,12 @@ import platform
 import random
 import statistics
 import sys
+import tempfile
+import time
 
 import numpy as np
 
-from qcascade.cli import parse_job, run_pipeline
+from qcascade.cli import emit, parse_job, run_pipeline
 
 SIZES = (4, 6, 8, 10, 12, 14)
 SEEDS = (8, 9, 10)
@@ -38,25 +41,31 @@ def repeats(n: int) -> int:
 def bench_size(n: int) -> dict:
     totals: list[float] = []
     stages: dict[str, list[float]] = {}
+    emits: list[float] = []
     gates = set()
-    for seed in SEEDS:
-        rng = random.Random(seed)
-        truth = "".join(str(rng.getrandbits(1)) for _ in range(1 << n))
-        job = parse_job(json.dumps({"n": n, "truth": truth, "symmetry": False}),
-                        allow_large=True)
-        run_pipeline(job)  # warm-up, not timed
-        for _ in range(repeats(n)):
-            report = run_pipeline(job)
-            if not report.passed:
-                raise SystemExit(f"n={n} seed={seed}: verification failed")
-            gates.add(len(report.circuit.gates))
-            totals.append(sum(report.timings.values()))
-            for stage, seconds in report.timings.items():
-                stages.setdefault(stage, []).append(seconds)
+    with tempfile.TemporaryDirectory() as out_dir:
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            truth = "".join(str(rng.getrandbits(1)) for _ in range(1 << n))
+            job = parse_job(json.dumps({"n": n, "truth": truth, "symmetry": False}),
+                            allow_large=True)
+            run_pipeline(job)  # warm-up, not timed
+            for _ in range(repeats(n)):
+                report = run_pipeline(job)
+                if not report.passed:
+                    raise SystemExit(f"n={n} seed={seed}: verification failed")
+                gates.add(len(report.circuit.gates))
+                totals.append(sum(report.timings.values()))
+                for stage, seconds in report.timings.items():
+                    stages.setdefault(stage, []).append(seconds)
+                t0 = time.perf_counter()
+                emit(report, ["json"], out_dir)
+                emits.append(time.perf_counter() - t0)
     return {"runs": len(totals),
             "gates": sorted(gates),
             "total_s": statistics.median(totals),
-            "stages_s": {stage: statistics.median(v) for stage, v in stages.items()}}
+            "stages_s": {stage: statistics.median(v) for stage, v in stages.items()},
+            "emit_json_s": statistics.median(emits)}
 
 
 def main(argv=None) -> int:
@@ -71,8 +80,8 @@ def main(argv=None) -> int:
     for n in args.sizes:
         result["sizes"][str(n)] = row = bench_size(n)
         stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in row["stages_s"].items())
-        print(f"n={n}: total {row['total_s'] * 1e3:.2f} ms over {row['runs']} runs ({stages})",
-              file=sys.stderr)
+        print(f"n={n}: total {row['total_s'] * 1e3:.2f} ms over {row['runs']} runs ({stages}), "
+              f"emit json {row['emit_json_s'] * 1e3:.2f} ms", file=sys.stderr)
     with open(args.out, "w") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
