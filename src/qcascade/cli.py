@@ -169,6 +169,8 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
             raise JobError(f"field 'trace_input': expected a bit string, got {trace_input!r}")
         if len(trace_input) != n or any(c not in "01" for c in trace_input):
             raise JobError(f"field 'trace_input': expected {n} bits, got {trace_input!r}")
+    elif "bloch-csv" in emit:
+        raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
 
     return JobSpec(n=n, truth=truth, mode=mode, dihedral_n=dihedral_n, modulus=modulus,
                    levels=levels, basis=basis, symmetry=symmetry, emit=emit,
@@ -216,12 +218,16 @@ class SynthesisReport:
     canonical: CascadeWord
     simplified: CascadeWord
     reduced: CascadeWord | None
-    word: CascadeWord
     circuit: QCircuit
     classical: VerificationReport
     quantum: VerificationReport | None
     connectivity: InteractionGraph
     timings: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def word(self) -> CascadeWord:
+        """The reduced word when the symmetry reduction applied, else the simplified one."""
+        return self.simplified if self.reduced is None else self.reduced
 
     @property
     def passed(self) -> bool:
@@ -252,18 +258,17 @@ def run_pipeline(job: JobSpec) -> SynthesisReport:
     canonical = run("cascade", lambda: canonical_cascade(spectrum, params))
     simplified = run("simplify", lambda: simplify(canonical))
     reduced = None
-    word = simplified
     if job.mode == EQB and job.symmetry and run("symmetry", lambda: detect_symmetry(job.truth)):
         reduced = run("reduce", lambda: reduce_by_symmetry(job.truth))
-        word = reduced
+    word = simplified if reduced is None else reduced
     circuit = run("map", lambda: map_to_circuit(word, basis=job.basis, levels=job.levels))
     classical = run("verify_classical", lambda: verify_classical(word, job.truth))
     quantum = run("verify_quantum", lambda: verify_quantum(circuit, job.truth)) if job.mode == EQB else None
     connectivity = run("connectivity", lambda: interaction_graph(circuit))
     return SynthesisReport(job=job, spectrum=spectrum, canonical=canonical,
-                           simplified=simplified, reduced=reduced, word=word,
-                           circuit=circuit, classical=classical, quantum=quantum,
-                           connectivity=connectivity, timings=timings)
+                           simplified=simplified, reduced=reduced, circuit=circuit,
+                           classical=classical, quantum=quantum, connectivity=connectivity,
+                           timings=timings)
 
 
 def _verification_dict(report: VerificationReport | None):
@@ -294,20 +299,18 @@ def report_to_mapping(report: SynthesisReport) -> dict:
     gates = report.circuit.gates
     distinct = {id(g): g for g in gates}
     entry_of = {key: _gate_entry(g) for key, g in distinct.items()}
-    # the final word is the simplified or the reduced word: print each word once
-    words = (report.canonical, report.simplified, report.reduced, report.word)
-    distinct_words = {id(w): w for w in words if w is not None}
-    text = {key: str(w) for key, w in distinct_words.items()}
+    simplified = str(report.simplified)
+    reduced = None if report.reduced is None else str(report.reduced)
     target = report.word.target_var
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "job": job_to_mapping(report.job),
         "spectrum": {"coefficients": [str(c) for c in report.spectrum.coeffs],
                      "modulus": report.spectrum.modulus},
-        "words": {"canonical": text[id(report.canonical)],
-                  "simplified": text[id(report.simplified)],
-                  "reduced": None if report.reduced is None else text[id(report.reduced)],
-                  "final": text[id(report.word)],
+        "words": {"canonical": str(report.canonical),
+                  "simplified": simplified,
+                  "reduced": reduced,
+                  "final": simplified if reduced is None else reduced,
                   "target": "ancilla" if target is None else f"x{target}",
                   "letter_counts": {"canonical": len(report.canonical),
                                     "simplified": len(report.simplified),
@@ -469,6 +472,9 @@ def main(argv=None) -> int:
     except (JobError, OSError) as e:
         print(f"qcascade: error: {e}", file=sys.stderr)
         return 1
+    if args.command == "trace" and job.trace_input is None:
+        print("qcascade: error: trace needs --input (or field 'trace_input')", file=sys.stderr)
+        return 1
 
     if args.command == "spectrum":
         print(_spectrum(job))
@@ -481,9 +487,6 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "trace":
-        if job.trace_input is None:
-            print("qcascade: error: trace needs --input (or field 'trace_input')", file=sys.stderr)
-            return 1
         bits = tuple(int(c) for c in job.trace_input)
         print(bloch_trace_csv(report.circuit, bits), end="")
     elif args.command == "verify":
@@ -501,7 +504,7 @@ def main(argv=None) -> int:
         if job.emit:
             try:
                 written = emit(report, job.emit, args.out_dir)
-            except (JobError, OSError) as e:
+            except OSError as e:
                 print(f"qcascade: error: {e}", file=sys.stderr)
                 return 1
             for target, path in written.items():

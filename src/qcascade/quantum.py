@@ -82,7 +82,10 @@ class Gate:
 
 @dataclass(frozen=True)
 class QCircuit:
-    """Gate list over ``num_qubits`` qubits, executed left to right.
+    """A star centred on ``target_qubit``, over ``num_qubits`` qubits,
+    executed left to right: every gate is a rotation of the target, all
+    about one axis, or a CZ from another qubit (its ``control``) to the
+    target.  Construction raises ValueError on any other gate list.
 
     ``layout`` maps input variables to qubits as (variable, qubit) pairs.
     """
@@ -97,12 +100,19 @@ class QCircuit:
         object.__setattr__(self, "layout", tuple(self.layout))
         if self.num_qubits < 1:
             raise ValueError("need at least one qubit")
-        if not 0 <= self.target_qubit < self.num_qubits:
-            raise ValueError(f"target qubit {self.target_qubit} out of range")
-        for g in self.gates:
-            hi = g.target if g.control is None else max(g.target, g.control)
-            if hi >= self.num_qubits:
-                raise ValueError(f"gate {g.kind} touches qubit {hi}, circuit has {self.num_qubits}")
+        target = self.target_qubit
+        if not 0 <= target < self.num_qubits:
+            raise ValueError(f"target qubit {target} out of range")
+        kinds = set()
+        # once per distinct gate object: map_to_circuit shares equal gates
+        for g in {id(g): g for g in self.gates}.values():
+            if g.target != target:
+                raise ValueError(f"{g.kind} on q[{g.target}] is off the target q[{target}]")
+            if g.control is not None and g.control >= self.num_qubits:
+                raise ValueError(f"gate CZ touches qubit {g.control}, circuit has {self.num_qubits}")
+            kinds.add(g.kind)
+        if RX in kinds and RY in kinds:
+            raise ValueError("circuit mixes RX and RY rotations")
 
     def gate_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -162,19 +172,6 @@ def map_to_circuit(word: CascadeWord, basis: str = "X", levels: int | None = Non
                     layout=tuple(sorted(qubit_of.items())))
 
 
-def _star_partner(gate: Gate, target: int) -> int | None:
-    """The qubit a CZ joins to the target, or None for a rotation.  Raises
-    ValueError on a gate that does not touch the target."""
-    if gate.kind == CZ:
-        if target not in (gate.target, gate.control):
-            raise ValueError(f"CZ on q[{gate.control}],q[{gate.target}] misses "
-                             f"the target q[{target}]")
-        return gate.control if gate.target == target else gate.target
-    if gate.target != target:
-        raise ValueError(f"{gate.kind} on q[{gate.target}] is off the target q[{target}]")
-    return None
-
-
 def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> VerificationReport:
     """Unitary check: every row's whole 2x2 target unitary U_x must be
     R(pi * b(x)) about the circuit's rotation axis, where b(x) = F(x) xor
@@ -183,10 +180,8 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> 
     Row x passes when the target, started in |t(x)>, reads F(x) with
     probability p >= 1 - tol, and every entry of U_x - R(pi * b(x)) has
     squared modulus <= tol; the row's text is "p=<p>", with " dU=<largest
-    squared entry>" appended when only the unitary comparison fails.  Every
-    gate must touch the target, and all rotations must share one axis (the
-    compiler emits one per circuit): a circuit that mixes RX and RY raises
-    ValueError.  ``truth.n`` must equal the circuit's number of inputs.
+    squared entry>" appended when only the unitary comparison fails.
+    ``truth.n`` must equal the circuit's number of inputs.
 
     All rows run at once in real arithmetic, as one (2, 2 * 2^n) array
     whose column c * 2^n + x holds U_x|c>: one 2x2 matmul per rotation and
@@ -202,9 +197,6 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> 
     if len(circuit.layout) != n:
         raise ValueError(f"circuit reads {len(circuit.layout)} input bits, "
                          f"truth vector has {n}")
-    axes = {g.kind for g in circuit.gates} - {CZ}
-    if len(axes) > 1:
-        raise ValueError("circuit mixes RX and RY rotations")
     target = circuit.target_qubit
     size = 1 << n
     # column c * 2^n + x holds input x_v at bit n - v, for either c
@@ -225,16 +217,14 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> 
             if flip is None:
                 parity = 0
                 for gate in run:
-                    other = _star_partner(gate, target)
-                    if other in bit_of:
-                        parity = parity ^ bit_of[other]
+                    if gate.control in bit_of:
+                        parity = parity ^ bit_of[gate.control]
                 flip = flips[key] = 1.0 - 2.0 * parity
             u[1] *= flip
             continue
         for gate in group:
             mat = mats.get(id(gate))
             if mat is None:
-                _star_partner(gate, target)
                 mat = mats[id(gate)] = rotation_matrix("Y", gate.angle).real
             np.matmul(mat, u, out=buf)
             u, buf = buf, u
@@ -280,11 +270,10 @@ def _bloch_point(a: complex, b: complex) -> BlochPoint:
 def _traced(circuit: QCircuit, assignment) -> list[tuple[str, BlochPoint]]:
     """Label and Bloch point of the target before the first gate and after each gate.
 
-    Every gate must touch the target: rotations act on it alone and each CZ
-    joins it to one other qubit.  The other qubits then stay in the basis
-    state the row sets (|0> when no input sits on them), so the target's two
-    amplitudes (a, b) are the whole state of the row, and a CZ flips the
-    sign of b when the other qubit is 1.
+    In a star circuit the other qubits stay in the basis state the row sets
+    (|0> when no input sits on them), so the target's two amplitudes (a, b)
+    are the whole state of the row, and a CZ flips the sign of b when its
+    control is 1.
     """
     if any(b not in (0, 1, "0", "1") for b in assignment):
         raise ValueError(f"assignment entries must be 0 or 1, got {assignment!r}")
@@ -296,9 +285,8 @@ def _traced(circuit: QCircuit, assignment) -> list[tuple[str, BlochPoint]]:
     a, b = (0j, 1 + 0j) if bit_of.get(target) else (1 + 0j, 0j)
     points = [("init", _bloch_point(a, b))]
     for gate in circuit.gates:
-        other = _star_partner(gate, target)
         if gate.kind == CZ:
-            if bit_of.get(other):
+            if bit_of.get(gate.control):
                 b = -b
         else:
             (m00, m01), (m10, m11) = rotation_matrix(gate.kind[-1], gate.angle).tolist()
@@ -310,7 +298,7 @@ def _traced(circuit: QCircuit, assignment) -> list[tuple[str, BlochPoint]]:
 def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:
     """Target-qubit Bloch coordinates: the initial state, then one point per
     gate.  ``assignment`` gives one 0/1 bit (int or character) per circuit
-    input.  Every gate must touch the target, as in ``verify_quantum``."""
+    input."""
     return [point for _, point in _traced(circuit, assignment)]
 
 
@@ -323,7 +311,8 @@ def bloch_trace_csv(circuit: QCircuit, assignment) -> str:
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Undirected two-qubit coupling graph of a circuit."""
+    """Undirected two-qubit coupling graph of a circuit.  A ``QCircuit`` is
+    a star, so ``is_star`` and ``triangle_free`` are always true."""
 
     edges: tuple[tuple[int, int], ...]
     is_star: bool
@@ -332,28 +321,14 @@ class InteractionGraph:
 
 
 def interaction_graph(circuit: QCircuit) -> InteractionGraph:
-    """Distinct (control, target) pairs plus star/triangle verdicts.
-
-    An empty edge set is trivially a star and triangle-free.
-    """
-    distinct = {id(g): g for g in circuit.gates}.values()
-    edges = sorted({(min(g.control, g.target), max(g.control, g.target))
-                    for g in distinct if g.kind == CZ})
-    adjacency: dict[int, set[int]] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-    triangle_free = all(not (adjacency[u] & adjacency[v]) for u, v in edges)
-    if edges:
-        common = set(edges[0])
-        for u, v in edges[1:]:
-            common &= {u, v}
-        centers = tuple(sorted(common))
-        is_star = bool(centers)
-    else:
-        centers = ()
-        is_star = True
-    return InteractionGraph(tuple(edges), is_star, triangle_free, centers)
+    """One edge per distinct CZ control, joining it to the target.  The
+    centres are the target for two or more edges, both ends of a single
+    edge, and none without edges."""
+    target = circuit.target_qubit
+    controls = {g.control for g in circuit.gates} - {None}
+    edges = tuple(sorted((min(c, target), max(c, target)) for c in controls))
+    centers = edges[0] if len(edges) == 1 else (target,) if edges else ()
+    return InteractionGraph(edges, True, True, centers)
 
 
 def angle_text(gate: Gate) -> str:

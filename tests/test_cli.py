@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -98,6 +99,7 @@ def test_parse_job_accepts_large_n_only_when_forced():
     ('{"n": 2, "truth": "0110", "trace_input": "1"}', "expected 2 bits"),
     ('{"n": 2, "truth": "0110", "trace_input": "1x"}', "expected 2 bits"),
     ('{"n": 2, "truth": "0110", "trace_input": 10}', "expected a bit string"),
+    ('{"n": 2, "truth": "0110", "emit": ["word", "bloch-csv"]}', "needs field 'trace_input'"),
 ])
 def test_parse_job_diagnostics(text, needle):
     with pytest.raises(JobError, match=needle):
@@ -155,11 +157,13 @@ def _valid_jobs(draw):
         levels = draw(st.integers(2, dihedral_n))
         mode, top = MGD, levels - 1
     values = draw(st.lists(st.integers(0, top), min_size=1 << n, max_size=1 << n))
+    emit = tuple(draw(st.lists(st.sampled_from(EMIT_TARGETS), max_size=4)))
+    # a bloch-csv target needs a trace input
+    bits = st.text("01", min_size=n, max_size=n)
     return JobSpec(n=n, truth=TruthVector(n, tuple(values)), mode=mode, dihedral_n=dihedral_n,
                    modulus=modulus, levels=levels, basis=draw(st.sampled_from("XY")),
-                   symmetry=draw(st.booleans()),
-                   emit=tuple(draw(st.lists(st.sampled_from(EMIT_TARGETS), max_size=4))),
-                   trace_input=draw(st.none() | st.text("01", min_size=n, max_size=n)))
+                   symmetry=draw(st.booleans()), emit=emit,
+                   trace_input=draw(bits if "bloch-csv" in emit else st.none() | bits))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -215,6 +219,30 @@ def test_run_pipeline_basis_y():
     report = run_pipeline(parse_job('{"n": 2, "truth": "0110", "basis": "y"}'))
     assert {g.kind for g in report.circuit.gates} == {"RY", "CZ"}
     assert report.passed
+
+
+def _small_function_jobs():
+    """Every EQB function with n <= 3 in both bases, and every MGD function
+    with n <= 2 over D_3 and D_5."""
+    for n in (1, 2, 3):
+        for values in itertools.product((0, 1), repeat=1 << n):
+            for basis in ("x", "y"):
+                yield {"n": n, "truth": list(values), "basis": basis}
+    for n in (1, 2):
+        for d in (3, 5):
+            for values in itertools.product(range(d), repeat=1 << n):
+                yield {"n": n, "truth": list(values), "mode": "mgd", "dihedral_n": d}
+
+
+def test_run_pipeline_passes_every_small_function():
+    counts = {EQB: 0, MGD: 0}
+    for doc in _small_function_jobs():
+        report = run_pipeline(parse_job(json.dumps(doc)))
+        assert report.passed, doc
+        graph = report.connectivity
+        assert not graph.edges or report.circuit.target_qubit in graph.centers, doc
+        counts[report.job.mode] += 1
+    assert counts == {EQB: 552, MGD: 740}
 
 
 def test_pipeline_error_carries_stage(monkeypatch):
@@ -444,6 +472,28 @@ def test_main_trace_verb(capsys):
 def test_main_trace_without_input_fails(capsys):
     assert main(["trace", "--n", "2", "--truth", "0110"]) == 1
     assert "trace needs --input" in capsys.readouterr().err
+
+
+def test_main_trace_without_input_fails_before_the_pipeline(monkeypatch, capsys):
+    import qcascade.cli as cli
+
+    def no_pipeline(job):
+        raise AssertionError("run_pipeline called")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_pipeline)
+    assert main(["trace", "--n", "2", "--truth", "0110"]) == 1
+    assert "trace needs --input" in capsys.readouterr().err
+
+
+def test_main_rejects_bloch_csv_without_input_before_writing(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["synth", "--n", "2", "--truth", "0110", "--emit", "word,bloch-csv",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "needs field 'trace_input'" in err
+    assert not out_dir.exists()
 
 
 def test_main_usage_errors_exit_one(capsys):
