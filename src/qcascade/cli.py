@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .cascade import (VerificationReport, VerificationRow, canonical_cascade, detect_symmetry,
@@ -20,8 +20,15 @@ from .words import EQB, MGD, CascadeWord
 MAX_VARS_DEFAULT = 10
 # bounds the trial-division primality test of dihedral_n to ~46k divisions
 MAX_DIHEDRAL_N = 2**31 - 1
-EMIT_TARGETS = ("word", "qasm", "json", "bloch-csv")
 REPORT_SCHEMA_VERSION = 1
+# emit target -> (file name, the file's text for a report)
+_ARTIFACTS = {
+    "word": ("word.txt", lambda r: str(r.word) + "\n"),
+    "qasm": ("circuit.qasm", lambda r: to_qasm(r.circuit)),
+    "json": ("report.json", lambda r: json.dumps(report_to_mapping(r), sort_keys=True) + "\n"),
+    "bloch-csv": ("trace.csv", lambda r: bloch_trace_csv(r.circuit, r.job.trace_input)),
+}
+EMIT_TARGETS = tuple(_ARTIFACTS)
 
 
 class JobError(ValueError):
@@ -46,6 +53,9 @@ class JobSpec:
     symmetry: bool = True
     emit: tuple[str, ...] = ()
     trace_input: str | None = None
+
+
+_JOB_FIELDS = tuple(f.name for f in fields(JobSpec))
 
 
 def _is_prime(n: int) -> bool:
@@ -87,8 +97,7 @@ def _parse_truth(doc: dict, n: int) -> TruthVector:
 
 def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
     doc = {k: v for k, v in doc.items() if v is not None}
-    unknown = sorted(set(doc) - {"n", "mode", "truth", "dihedral_n", "modulus", "levels",
-                                 "basis", "symmetry", "emit", "trace_input"})
+    unknown = sorted(set(doc).difference(_JOB_FIELDS))
     if unknown:
         raise JobError(f"unknown field(s): {', '.join(unknown)}")
     for key in ("n", "truth"):
@@ -194,20 +203,10 @@ def parse_job(text: str, allow_large: bool = False) -> JobSpec:
 
 def job_to_mapping(job: JobSpec) -> dict:
     """Round-trippable JSON form: parse_job(json.dumps(...)) == job."""
-    doc: dict = {"n": job.n, "mode": job.mode}
-    if all(v in (0, 1) for v in job.truth.values):
-        doc["truth"] = "".join(str(v) for v in job.truth.values)
-    else:
-        doc["truth"] = list(job.truth.values)
-    if job.mode == MGD:
-        doc["dihedral_n"] = job.dihedral_n
-        doc["modulus"] = job.modulus
-        doc["levels"] = job.levels
-    doc["basis"] = job.basis
-    doc["symmetry"] = job.symmetry
+    doc = {key: getattr(job, key) for key in _JOB_FIELDS if getattr(job, key) is not None}
+    values = job.truth.values
+    doc["truth"] = "".join(map(str, values)) if all(v in (0, 1) for v in values) else list(values)
     doc["emit"] = list(job.emit)
-    if job.trace_input is not None:
-        doc["trace_input"] = job.trace_input
     return doc
 
 
@@ -331,29 +330,20 @@ def report_to_mapping(report: SynthesisReport) -> dict:
 
 
 def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
-    """Write the requested artifacts; returns target -> path."""
+    """Write the requested artifacts; returns target -> path.  Every target
+    is checked before ``out_dir`` is created or a file written."""
+    for target in targets:
+        if target not in _ARTIFACTS:
+            raise JobError(f"unknown emit target {target!r}")
+    if "bloch-csv" in targets and report.job.trace_input is None:
+        raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     for target in targets:
-        if target == "word":
-            path = out_dir / "word.txt"
-            path.write_text(str(report.word) + "\n")
-        elif target == "qasm":
-            path = out_dir / "circuit.qasm"
-            path.write_text(to_qasm(report.circuit))
-        elif target == "json":
-            path = out_dir / "report.json"
-            path.write_text(json.dumps(report_to_mapping(report), sort_keys=True) + "\n")
-        elif target == "bloch-csv":
-            if report.job.trace_input is None:
-                raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
-            bits = tuple(int(c) for c in report.job.trace_input)
-            path = out_dir / "trace.csv"
-            path.write_text(bloch_trace_csv(report.circuit, bits))
-        else:
-            raise JobError(f"unknown emit target {target!r}")
-        written[target] = path
+        name, text = _ARTIFACTS[target]
+        path = written[target] = out_dir / name
+        path.write_text(text(report))
     return written
 
 
@@ -427,7 +417,7 @@ def build_parser() -> CliParser:
                         help="spectrum modulus (MGD, default dihedral order)")
     parser.add_argument("--levels", type=int, help="output level count for the MGD angle scale")
     parser.add_argument("--no-symmetry", action="store_true", help="disable the symmetry reduction")
-    parser.add_argument("--emit", help="comma-separated targets: word,qasm,json,bloch-csv")
+    parser.add_argument("--emit", help=f"comma-separated targets: {','.join(EMIT_TARGETS)}")
     parser.add_argument("--out-dir", default=".", help="directory for emitted files (default .)")
     parser.add_argument("--input", help="assignment bits for the Bloch trace")
     parser.add_argument("--force-large", action="store_true",
@@ -452,16 +442,12 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         doc = {}
         if args.n is None or args.truth is None:
             raise JobError("give a job file or both --n and --truth")
-    for key in ("n", "mode", "basis", "dihedral_n", "modulus", "levels", "input"):
-        value = getattr(args, key if key != "input" else "input")
-        if value is not None:
-            doc["trace_input" if key == "input" else key] = value
-    if args.truth is not None:
-        doc["truth"] = args.truth
+    doc.update((key, value) for key in _JOB_FIELDS
+               if (value := getattr(args, key, None)) is not None)
+    if args.input is not None:
+        doc["trace_input"] = args.input
     if args.no_symmetry:
         doc["symmetry"] = False
-    if args.emit is not None:
-        doc["emit"] = args.emit
     return _job_from_mapping(doc, allow_large=args.force_large)
 
 
@@ -475,6 +461,10 @@ def main(argv=None) -> int:
     if args.command == "trace" and job.trace_input is None:
         print("qcascade: error: trace needs --input (or field 'trace_input')", file=sys.stderr)
         return 1
+    if args.command != "synth" and job.emit:
+        print(f"qcascade: error: only synth emits artifacts; drop --emit (or field 'emit') "
+              f"from this {args.command} job", file=sys.stderr)
+        return 1
 
     if args.command == "spectrum":
         print(_spectrum(job))
@@ -487,8 +477,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "trace":
-        bits = tuple(int(c) for c in job.trace_input)
-        print(bloch_trace_csv(report.circuit, bits), end="")
+        print(bloch_trace_csv(report.circuit, job.trace_input), end="")
     elif args.command == "verify":
         for rep in (report.classical, report.quantum):
             if rep is None:

@@ -27,7 +27,7 @@ GATE_KINDS = frozenset({RX, RY, CZ})
 
 
 def rotation_matrix(axis: str, theta: float) -> np.ndarray:
-    """2x2 rotation about the X, Y or Z axis by theta radians."""
+    """2x2 rotation about the X or Y axis by theta radians."""
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta}")
     c = math.cos(theta / 2.0)
@@ -36,8 +36,6 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
         return np.array([[c, -1j * s], [-1j * s, c]])
     if axis == "Y":
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if axis == "Z":
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
     raise ValueError(f"unknown rotation axis {axis!r}")
 
 
@@ -146,7 +144,7 @@ def map_to_circuit(word: CascadeWord, basis: str = "X", levels: int | None = Non
     else:
         target = word.target_var - 1
         qubit_of = {v: v - 1 for v in range(1, n + 1)}
-        num_qubits = max(n, 1)
+        num_qubits = n
     gates: list[Gate] = []
     # exponent 0 is never stored, so every a^0 reaches the check below
     rotations: dict[Fraction | int, Gate] = {}

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import tempfile
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcascade.cascade import VerificationReport, VerificationRow
-from qcascade.cli import (EMIT_TARGETS, VERBS, JobError, JobSpec, PipelineError, build_parser,
-                          emit, job_to_mapping, main, parse_job, report_to_mapping, run_pipeline)
+from qcascade.cli import (EMIT_TARGETS, VERBS, JobError, JobSpec, PipelineError, _job_from_args,
+                          build_parser, emit, job_to_mapping, main, parse_job, report_to_mapping,
+                          run_pipeline)
 from qcascade.spectral import TruthVector
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_parser import build_subcommand_parser
@@ -182,6 +184,52 @@ def test_parse_job_inverts_job_to_mapping(job):
     assert parse_job(json.dumps(job_to_mapping(job))) == job
 
 
+def _flag(key, value) -> list[str]:
+    """The flag and value that set job field ``key`` to ``value``."""
+    if key == "symmetry":
+        return [] if value else ["--no-symmetry"]
+    if key == "truth" and isinstance(value, list):
+        value = "".join(map(str, value))  # MGD levels stay below 10
+    elif key == "emit":
+        value = ",".join(value)
+    return ["--input" if key == "trace_input" else "--" + key.replace("_", "-"), str(value)]
+
+
+@st.composite
+def _flags_and_job_files(draw):
+    """A valid job, its job document, and an argument list that splits the
+    document's fields between a job file and flags.  A field set both ways
+    holds any JSON value in the file, which the flag must override."""
+    job = draw(_valid_jobs())
+    doc = job_to_mapping(job)
+    file_doc, flags = {}, []
+    for key, value in doc.items():
+        # only --no-symmetry sets symmetry, so a true value lives in the file
+        ways = ("file",) if key == "symmetry" and value else ("file", "flag", "both")
+        way = draw(st.sampled_from(ways))
+        if way != "flag":
+            file_doc[key] = value if way == "file" else draw(_JSON_VALUES)
+        if way != "file":
+            flags.append(_flag(key, value))
+    flags = [token for flag in draw(st.permutations(flags)) for token in flag]
+    return doc, file_doc, flags
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_flags_and_job_files())
+def test_flags_and_job_fields_are_one_mapping(case):
+    doc, file_doc, flags = case
+    job = parse_job(json.dumps(doc))
+    assert set(doc) == {f.name for f in fields(JobSpec) if getattr(job, f.name) is not None}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["synth", *flags]
+        if file_doc:
+            jobfile = Path(tmp) / "job.json"
+            jobfile.write_text(json.dumps(file_doc))
+            argv.insert(1, str(jobfile))
+        assert _job_from_args(build_parser().parse_intermixed_args(argv)) == job
+
+
 def test_run_pipeline_xor_reduces_and_passes():
     report = run_pipeline(parse_job(XOR_JOB))
     assert report.passed
@@ -317,6 +365,15 @@ def test_emit_bloch_requires_trace_input(tmp_path):
     report = run_pipeline(parse_job(XOR_JOB))
     with pytest.raises(JobError, match="trace_input"):
         emit(report, ("bloch-csv",), tmp_path)
+
+
+def test_emit_checks_every_target_before_writing(tmp_path):
+    report = run_pipeline(parse_job(XOR_JOB))
+    out_dir = tmp_path / "out"
+    for targets, needle in ((["word", "bloch-csv"], "trace_input"), (["word", "png"], "'png'")):
+        with pytest.raises(JobError, match=needle):
+            emit(report, targets, out_dir)
+        assert not out_dir.exists()
 
 
 def _sweep_jobs():
@@ -494,6 +551,27 @@ def test_main_rejects_bloch_csv_without_input_before_writing(tmp_path, capsys):
     assert out == ""
     assert "needs field 'trace_input'" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["verify", "spectrum", "trace"])
+def test_main_rejects_emit_outside_synth_before_the_pipeline(verb, tmp_path, monkeypatch, capsys):
+    import qcascade.cli as cli
+
+    def no_pipeline(job):
+        raise AssertionError("pipeline called")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_pipeline)
+    monkeypatch.setattr(cli, "_spectrum", no_pipeline)
+    jobfile = tmp_path / "job.json"
+    jobfile.write_text('{"n": 2, "truth": "0110", "trace_input": "10", "emit": ["qasm"]}')
+    out_dir = tmp_path / "out"
+    for job in (["--n", "2", "--truth", "0110", "--input", "10", "--emit", "word,json"],
+                [str(jobfile)]):
+        assert main([verb, *job, "--out-dir", str(out_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "only synth emits artifacts" in err
+        assert not out_dir.exists()
 
 
 def test_main_usage_errors_exit_one(capsys):
