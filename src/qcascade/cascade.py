@@ -10,19 +10,19 @@ every assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .dihedral import DihedralParams, GroupElement, evaluate_word, format_element
 from .spectral import TruthVector, WalshSpectrum, spectrum_exact
-from .words import EQB, MGD, CascadeWord, Letter, Refl, Rot
+from .words import CascadeWord, Letter, Refl, Rot
 
 
 def canonical_cascade(spectrum: WalshSpectrum, params: DihedralParams | None = None) -> CascadeWord:
     """Expand a spectrum into the unsimplified canonical cascade word."""
     n = spectrum.n
-    mode = MGD if spectrum.modulus is not None else EQB
-    if mode == MGD and params is None:
+    if spectrum.modulus is not None and params is None:
         raise ValueError("a modular spectrum needs dihedral parameters")
+    if spectrum.modulus is None and params is not None:
+        raise ValueError("an exact spectrum takes no dihedral parameters")
     # one object per distinct letter; the i < n with 2^i dividing k are the
     # first min(v + 1, n), where 2^v = k & -k
     refls = [Refl(frozenset({n - i})) for i in range(n)]
@@ -31,8 +31,7 @@ def canonical_cascade(spectrum: WalshSpectrum, params: DihedralParams | None = N
     for k, c in enumerate(spectrum.coeffs, 1):
         letters.append(rot_of[c])
         letters += refls[:min((k & -k).bit_length(), n)]
-    return CascadeWord(mode=mode, n_vars=n, letters=tuple(letters),
-                       params=params if mode == MGD else None)
+    return CascadeWord(n, tuple(letters), params)
 
 
 def simplify(word: CascadeWord) -> CascadeWord:
@@ -122,34 +121,25 @@ class VerificationReport:
 def verify_classical(word: CascadeWord, truth: TruthVector) -> VerificationReport:
     """Check the word against the truth vector by exact group evaluation.
 
-    MGD words must fold to a^(F(x) mod n); EQB words must fold to a net
-    exponent of exactly F(x) (or h(x) with x_n xor h = F(x) when the word is
-    retargeted by symmetry), with no residual reflection either way.
+    Every row must fold to a^F(x) with no residual reflection: a^(F(x) mod n)
+    over D_n, exactly a^F(x) otherwise.  A word retargeted by symmetry onto
+    input x_t instead folds to a^h(x) with h(x) in {0, 1} and x_t xor h = F(x).
     """
     if word.n_vars != truth.n:
         raise ValueError(f"word has {word.n_vars} variables, truth vector has {truth.n}")
+    p, t = word.params, word.target_var
     results = evaluate_word(word)
-    if word.mode == MGD:
-        # evaluate_word shares one object per distinct element, of which a
-        # D_n word has at most 2n: format each distinct element once
-        p = word.params
-        distinct = {id(e): e for e in results}
-        got_text = {key: format_element(e, p) for key, e in distinct.items()}
-        expected = {v: GroupElement(v % p.n, False) for v in set(truth.values)}
-        want_text = {v: format_element(e, p) for v, e in expected.items()}
-        return VerificationReport("classical", tuple(
-            VerificationRow(bits, want_text[want], got_text[id(got)], got == expected[want])
-            for bits, want, got in zip(truth.assignments(), truth.values, results)))
+    # evaluate_word shares one object per distinct element: format each once
+    distinct = {id(e): e for e in results}
+    got_text = {key: format_element(e, p) for key, e in distinct.items()}
+    expected = {v: GroupElement(v if p is None else v % p.n) for v in set(truth.values)}
+    want_text = {v: format_element(e, p) for v, e in expected.items()}
     rows = []
-    for got, want, bits in zip(results, truth.values, truth.assignments()):
-        net, refl = got
-        if word.target_var is None:
-            ok = not refl and net == want
-            got_text = f"{net}" + (" g" if refl else "")
-        else:
-            valid = not refl and net in (0, 1)
-            out_bit = bits[word.target_var - 1] ^ int(net) if valid else None
-            ok = valid and out_bit == want
-            got_text = str(out_bit) if valid else f"{net}" + (" g" if refl else "")
-        rows.append(VerificationRow(bits, str(want), got_text, ok))
+    for bits, want, got in zip(truth.assignments(), truth.values, results):
+        text, ok = got_text[id(got)], t is None and got == expected[want]
+        if t is not None and not got.refl and got.rot in (0, 1):
+            # the retargeted rule: flip input x_t by h(x)
+            out_bit = bits[t - 1] ^ int(got.rot)
+            text, ok = str(out_bit), out_bit == want
+        rows.append(VerificationRow(bits, want_text[want], text, ok))
     return VerificationReport("classical", tuple(rows))

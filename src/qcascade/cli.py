@@ -351,35 +351,34 @@ def _row_text(row: VerificationRow) -> str:
     return f"{''.join(map(str, row.assignment))}: expected {row.expected}, got {row.got}"
 
 
-def print_report(report: SynthesisReport, out=None) -> None:
-    out = out or sys.stdout
+def print_report(report: SynthesisReport) -> None:
     job = report.job
     header = f"n={job.n} mode={job.mode} basis={job.basis}"
     if job.mode == MGD:
         header += f" dihedral_n={job.dihedral_n} modulus={job.modulus} levels={job.levels}"
-    print(header, file=out)
-    print(f"spectrum: {report.spectrum}", file=out)
-    print(f"canonical word ({len(report.canonical)} letters): {report.canonical}", file=out)
-    print(f"simplified word ({len(report.simplified)} letters): {report.simplified}", file=out)
+    print(header)
+    print(f"spectrum: {report.spectrum}")
+    print(f"canonical word ({len(report.canonical)} letters): {report.canonical}")
+    print(f"simplified word ({len(report.simplified)} letters): {report.simplified}")
     if report.reduced is not None:
         print(f"symmetry: reduced onto x{report.reduced.target_var} "
-              f"({len(report.reduced)} letters): {report.reduced}", file=out)
+              f"({len(report.reduced)} letters): {report.reduced}")
     counts = " ".join(f"{k}={v}" for k, v in sorted(report.circuit.gate_counts().items()))
     print(f"circuit: {len(report.circuit.gates)} gates on {report.circuit.num_qubits} qubits "
-          f"(target q[{report.circuit.target_qubit}]{', ' + counts if counts else ''})", file=out)
+          f"(target q[{report.circuit.target_qubit}]{', ' + counts if counts else ''})")
     for rep in (report.classical, report.quantum):
         if rep is not None:
             line = f"{rep.kind} check: {rep.counts()} rows pass"
             if rep.first_failure is not None:
                 line += f"; first failure {_row_text(rep.first_failure)}"
-            print(line, file=out)
+            print(line)
     g = report.connectivity
     print(f"connectivity: {len(g.edges)} edge(s), star={'yes' if g.is_star else 'no'}, "
-          f"triangle-free={'yes' if g.triangle_free else 'no'}", file=out)
+          f"triangle-free={'yes' if g.triangle_free else 'no'}")
     total = sum(report.timings.values())
     stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in report.timings.items())
-    print(f"timing: total {total * 1e3:.2f} ms ({stages})", file=out)
-    print(f"result: {'PASS' if report.passed else 'FAIL'}", file=out)
+    print(f"timing: total {total * 1e3:.2f} ms ({stages})")
+    print(f"result: {'PASS' if report.passed else 'FAIL'}")
 
 
 class CliParser(argparse.ArgumentParser):

@@ -1,8 +1,9 @@
-"""Exact arithmetic in the dihedral groups D_n and evaluation of cascade words.
+"""Exact arithmetic in the dihedral groups and evaluation of cascade words.
 
-Elements are written in the normal form a^r g^s with 0 <= r < n and s in
-{0, 1}, where a is the rotation generator (a^n = I) and g a reflection
-(g^2 = I, g a g = a^-1).  Products therefore follow
+Elements are written in the normal form a^r g^s with s in {0, 1}, where a
+is the rotation generator and g a reflection (g^2 = I, g a g = a^-1).  In
+D_n, a^n = I and 0 <= r < n; in the infinite dihedral group no power of a
+is I and r is an exact rational.  Products therefore follow
 
     a^i g^s . a^j g^t = a^(i + j * (-1)^s) g^(s xor t)
 
@@ -14,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .spectral import fwht
-from .words import MGD, CascadeWord, Rot
+from .words import CascadeWord, Rot
 
 
 @dataclass(frozen=True)
@@ -30,16 +32,20 @@ class DihedralParams:
             raise ValueError(f"dihedral order parameter must be at least 2, got {self.n}")
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Normalized element a^rot g^refl, with 0 <= rot < n."""
+class GroupElement(NamedTuple):
+    """Normalized element a^rot g^refl: rot is the residue 0 <= rot < n in
+    D_n and the exact rational exponent in the infinite dihedral group."""
 
-    rot: int
+    rot: int | Fraction
     refl: bool = False
 
 
-def format_element(e: GroupElement, p: DihedralParams) -> str:
-    """Display form: "I", "a^k", "g", "a^k g" with k the signed residue."""
+def format_element(e: GroupElement, p: DihedralParams | None = None) -> str:
+    """Display form in D_n: "I", "a^k", "g", "a^k g" with k the signed
+    residue.  Without ``p`` (the infinite group): the exponent, then " g"
+    when reflected."""
+    if p is None:
+        return f"{e.rot} g" if e.refl else f"{e.rot}"
     k = e.rot
     if 2 * k > p.n:
         k -= p.n
@@ -48,14 +54,13 @@ def format_element(e: GroupElement, p: DihedralParams) -> str:
     return f"a^{k} g" if e.refl else f"a^{k}"
 
 
-def evaluate_word(word: CascadeWord) -> list:
+def evaluate_word(word: CascadeWord) -> list[GroupElement]:
     """Fold a cascade word on every input row at once, in row order.
 
-    MGD mode gives one GroupElement of D_n per row, one shared object per
-    distinct element.  EQB mode gives pairs
-    (net rotation exponent as an exact Fraction, residual reflection flag);
-    for a cascade realizing a Boolean function the flag is False and the
-    exponent is the function value.
+    Gives one GroupElement per row, of D_n when the word has ``params`` and
+    of the infinite dihedral group otherwise; rows share one object per
+    distinct element.  For a cascade realizing a function F the element on
+    row x is a^F(x) (a^(F(x) mod n) in D_n) with no reflection.
 
     Let M be the XOR of the control masks of the reflection letters before
     a rotation.  On row x that rotation is reflected exactly when
@@ -64,7 +69,7 @@ def evaluate_word(word: CascadeWord) -> list:
     reflection on row x is parity(x & M) for the final M.
     """
     n = word.n_vars
-    # integer numerators over the common denominator (1 in MGD mode)
+    # integer numerators over the common denominator (1 in D_n)
     den = math.lcm(*(letter.exponent.denominator for letter in word.letters
                      if isinstance(letter, Rot)))
     buckets = [0] * (1 << n)
@@ -76,9 +81,12 @@ def evaluate_word(word: CascadeWord) -> list:
             for v in letter.controls:
                 # x1 is the most significant bit of the row index
                 mask ^= 1 << (n - v)
-    rows = zip(fwht(buckets), [(x & mask).bit_count() & 1 == 1 for x in range(1 << n)])
-    if word.mode == MGD:
-        keys = [(net % word.params.n, refl) for net, refl in rows]
-        element = {key: GroupElement(*key) for key in set(keys)}
-        return [element[key] for key in keys]
-    return [(Fraction(net, den), refl) for net, refl in rows]
+    keys = list(zip(fwht(buckets), [(x & mask).bit_count() & 1 == 1 for x in range(1 << n)]))
+    # one object per distinct element; in D_n several nets share a residue
+    order = None if word.params is None else word.params.n
+    shared: dict[GroupElement, GroupElement] = {}
+    element = {}
+    for net, refl in set(keys):
+        e = GroupElement(Fraction(net, den) if order is None else net % order, refl)
+        element[net, refl] = shared.setdefault(e, e)
+    return [element[key] for key in keys]

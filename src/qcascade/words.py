@@ -1,11 +1,11 @@
 """Symbolic cascade words built from rotation and reflection letters.
 
 A word is read left to right.  ``Rot(w)`` contributes a rotation with
-exponent ``w``: an exact :class:`fractions.Fraction` in EQB mode, a plain
-signed integer residue in MGD mode.  ``Refl(controls)`` contributes a
-reflection exactly when the XOR of the named input variables is 1.
-Variables are numbered from 1, and ``x1`` is the most significant bit of
-the truth-table row index.
+exponent ``w``: a plain signed integer residue in a word over D_n (MGD
+mode), an exact rational in a word over the infinite dihedral group
+(EQB mode).  ``Refl(controls)`` contributes a reflection exactly when the
+XOR of the named input variables is 1.  Variables are numbered from 1, and
+``x1`` is the most significant bit of the truth-table row index.
 """
 
 from __future__ import annotations
@@ -61,26 +61,27 @@ Letter = Union[Rot, Refl]
 class CascadeWord:
     """A sequence of letters over ``n_vars`` input variables.
 
+    The group decides the mode: with ``params`` the word is over D_n (MGD,
+    integer exponents); without, over the infinite dihedral group
+    <g, a | g^2 = I, g a g = a^-1> (EQB, rational exponents that never wrap).
     ``target_var`` is None when the word drives a fresh ancilla and an input
     variable index when a symmetry reduction retargeted the word onto that
-    input qubit.  ``params`` is required in MGD mode (the letters are residues
-    of a finite dihedral group) and absent in EQB mode.
+    input qubit.
     """
 
-    mode: str
     n_vars: int
     letters: tuple[Letter, ...]
     params: "DihedralParams | None" = None
     target_var: int | None = None
 
+    @property
+    def mode(self) -> str:
+        return EQB if self.params is None else MGD
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
-        if self.mode not in (EQB, MGD):
-            raise ValueError(f"unknown mode {self.mode!r}, expected {EQB!r} or {MGD!r}")
         if self.n_vars < 0:
             raise ValueError("n_vars must be non-negative")
-        if self.mode == MGD and self.params is None:
-            raise ValueError("MGD words need dihedral parameters")
         if self.target_var is not None and not 1 <= self.target_var <= self.n_vars:
             raise ValueError(f"target variable x{self.target_var} out of range 1..{self.n_vars}")
         # letters are frozen, so one check per distinct letter object covers
@@ -90,9 +91,9 @@ class CascadeWord:
                 exponent = letter.exponent
                 if isinstance(exponent, bool):
                     raise TypeError(f"rotation exponents must not be bool, got {exponent!r}")
-                if self.mode == MGD and not isinstance(exponent, int):
+                if self.params is not None and not isinstance(exponent, int):
                     raise TypeError(f"MGD exponents must be integers, got {exponent!r}")
-                if self.mode == EQB and not isinstance(exponent, (int, Fraction)):
+                if self.params is None and not isinstance(exponent, (int, Fraction)):
                     raise TypeError(f"EQB exponents must be rational, got {exponent!r}")
             elif isinstance(letter, Refl):
                 bad = [v for v in letter.controls if v > self.n_vars]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -79,8 +80,11 @@ def test_canonical_cascade_builds_each_distinct_letter_once():
 
 
 def test_canonical_rejects_modular_without_params():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs dihedral parameters"):
         canonical_cascade(spectrum_mod(TruthVector.from_bits("01"), 3))
+    # and the converse: an exact spectrum must not silently drop a given group
+    with pytest.raises(ValueError, match="takes no dihedral parameters"):
+        canonical_cascade(spectrum_exact(TruthVector.from_bits("01")), D3)
 
 
 def test_simplify_golden_example():
@@ -100,13 +104,13 @@ def test_simplify_all_zero_spectrum():
 
 
 def test_simplify_merges_rotations():
-    word = CascadeWord(EQB, 1, (Rot(Fraction(1, 2)), Rot(Fraction(1, 3))))
+    word = CascadeWord(1, (Rot(Fraction(1, 2)), Rot(Fraction(1, 3))))
     assert simplify(word).letters == (Rot(Fraction(5, 6)),)
 
 
 def test_simplify_cancels_through_dropped_letters():
-    word = CascadeWord(EQB, 2, (Rot(Fraction(1, 2)), Refl({1}), Rot(0), Refl({1}),
-                                Rot(Fraction(-1, 2)), Refl({2})))
+    word = CascadeWord(2, (Rot(Fraction(1, 2)), Refl({1}), Rot(0), Refl({1}),
+                           Rot(Fraction(-1, 2)), Refl({2})))
     assert simplify(word).letters == (Refl({2}),)
 
 
@@ -130,7 +134,7 @@ def _random_word(rng, mode, n_vars=3):
             controls = frozenset(rng.sample(range(1, n_vars + 1), rng.randrange(1, n_vars + 1)))
             letters.append(Refl(controls))
     params = DihedralParams(5) if mode == MGD else None
-    return CascadeWord(mode, n_vars, tuple(letters), params=params)
+    return CascadeWord(n_vars, tuple(letters), params=params)
 
 
 def test_simplify_preserves_semantics():
@@ -175,7 +179,7 @@ def _words(draw, shared=False):
     if shared:
         letter = st.sampled_from(draw(st.lists(letter, min_size=1, max_size=4)))
     letters = draw(st.lists(letter, max_size=16 + 8 * shared))
-    return CascadeWord(mode, n, tuple(letters),
+    return CascadeWord(n, tuple(letters),
                        params=DihedralParams(5) if mode == MGD else None)
 
 
@@ -326,6 +330,43 @@ def test_verify_classical_mgd_rows_equal_per_row_reference():
                     assert verify_classical(word, t).rows == tuple(want)
 
 
+def _eqb_row(word, bits, want):
+    """The classical check of one EQB row, from the per-row fold."""
+    net, refl = fold_row(word, bits)
+    got = f"{net} g" if refl else f"{net}"
+    if word.target_var is None:
+        return VerificationRow(bits, str(want), got, not refl and net == want)
+    if refl or net not in (0, 1):
+        return VerificationRow(bits, str(want), got, False)
+    out_bit = bits[word.target_var - 1] ^ int(net)
+    return VerificationRow(bits, str(want), str(out_bit), out_bit == want)
+
+
+def test_verify_classical_eqb_rows_equal_per_row_reference():
+    rng = random.Random(43)
+    texts = set()
+    for n in range(1, 7):
+        for _ in range(2):
+            truth = random_truth(rng, n)
+            odd = TruthVector(n, [h ^ b for h in truth.values[0::2] for b in (0, 1)])
+            canonical = canonical_cascade(spectrum_exact(truth))
+            reduced = reduce_by_symmetry(odd)
+            words = [(canonical, truth), (simplify(canonical), truth), (reduced, odd)]
+            # prefixes of a word leave residual reflections and fractional nets
+            words += [(replace(word, letters=word.letters[:k]), t) for word, t in words
+                      for k in range(0, len(word.letters), 1 + len(word.letters) // 4)]
+            for word, t in words:
+                # a second truth table with every other row changed gives failing rows
+                wrong = TruthVector(n, [v + x % 2 for x, v in enumerate(t.values)])
+                for table in (t, wrong):
+                    want = tuple(_eqb_row(word, bits, v)
+                                 for bits, v in zip(table.assignments(), table.values))
+                    rows = verify_classical(word, table).rows
+                    assert rows == want
+                    texts.update(row.got for row in rows)
+    assert {"1/4 g", "-1/4", "0 g", "1"} <= texts
+
+
 def test_verify_classical_rejects_variable_count_mismatch():
     word = simplify(canonical_cascade(spectrum_exact(TruthVector.from_bits("0110"))))
     with pytest.raises(ValueError, match="2 variables"):
@@ -350,14 +391,14 @@ def test_reflection_rejects_non_integer_controls(control):
 @pytest.mark.parametrize("mode", [EQB, MGD])
 def test_word_rejects_bool_exponents(mode):
     with pytest.raises(TypeError, match="got True"):
-        CascadeWord(mode, 1, (Rot(1), Rot(True)), params=D3 if mode == MGD else None)
+        CascadeWord(1, (Rot(1), Rot(True)), params=D3 if mode == MGD else None)
 
 
 def test_word_rejects_a_bad_letter_repeated_at_many_positions():
     beyond = Refl({3})
     half = Rot(Fraction(1, 2))
     with pytest.raises(ValueError, match="x3"):
-        CascadeWord(EQB, 2, (beyond, half, beyond, Refl({1}), half, beyond, Refl({2})))
+        CascadeWord(2, (beyond, half, beyond, Refl({1}), half, beyond, Refl({2})))
     third = Rot(Fraction(1, 3))
     with pytest.raises(TypeError, match="MGD exponents must be integers"):
-        CascadeWord(MGD, 2, (third, Rot(1), third, Refl({1}), third, Rot(2)), params=D3)
+        CascadeWord(2, (third, Rot(1), third, Refl({1}), third, Rot(2)), params=D3)

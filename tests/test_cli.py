@@ -655,7 +655,7 @@ def test_failing_job_names_its_first_failing_row(monkeypatch, capsys):
     import qcascade.cli as cli
 
     # a^1 g[x1] a^1 g[x2] reads 0 on every row but leaves -I, Z or -Z on three
-    gap = CascadeWord(EQB, 2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
+    gap = CascadeWord(2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
     monkeypatch.setattr(cli, "simplify", lambda word: gap)
     for basis in ("x", "y"):
         argv = ["--n", "2", "--truth", "0000", "--basis", basis]

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -102,9 +103,13 @@ def test_format_element():
     assert format_element(GroupElement(2, True), D3) == "a^-1 g"
     # even order keeps the +n/2 representative
     assert format_element(GroupElement(2, False), DihedralParams(4)) == "a^2"
+    # without params, the infinite group: the exponent, then " g" when reflected
+    assert format_element(GroupElement(Fraction(3))) == "3"
+    assert format_element(GroupElement(Fraction(-1, 4), True)) == "-1/4 g"
+    assert format_element(GroupElement(Fraction(0), True), None) == "0 g"
 
 
-XOR_WORD_MGD = CascadeWord(MGD, 2, (Rot(-1), Refl({1, 2}), Rot(1), Refl({1, 2})), params=D3)
+XOR_WORD_MGD = CascadeWord(2, (Rot(-1), Refl({1, 2}), Rot(1), Refl({1, 2})), params=D3)
 
 
 def test_evaluate_word_mgd_example():
@@ -129,31 +134,46 @@ def test_evaluate_word_matches_permutation_route():
 
 
 def test_evaluate_word_eqb():
-    word = CascadeWord(EQB, 2, (Rot(Fraction(1, 2)), Refl({1, 2}),
-                                Rot(Fraction(-1, 2)), Refl({1, 2})))
+    word = CascadeWord(2, (Rot(Fraction(1, 2)), Refl({1, 2}),
+                           Rot(Fraction(-1, 2)), Refl({1, 2})))
     assert evaluate_word(word) == [(0, False), (1, False), (1, False), (0, False)]
     assert all(refl is False for _, refl in evaluate_word(word))
 
 
 def test_evaluate_word_eqb_partial_fold():
     # a lone reflection letter leaves a residual flip
-    word = CascadeWord(EQB, 1, (Rot(Fraction(1, 4)), Refl({1})))
+    word = CascadeWord(1, (Rot(Fraction(1, 4)), Refl({1})))
     assert evaluate_word(word) == [(Fraction(1, 4), False), (Fraction(1, 4), True)]
 
 
-def test_evaluate_word_mgd_needs_params():
-    word = CascadeWord(MGD, 1, (Rot(1),), params=D3)
-    bare = CascadeWord(EQB, 1, (Rot(1),))
+def test_evaluate_word_params_pick_the_group():
+    # the same letters fold in D_3 with params and in the rationals without
+    word = CascadeWord(1, (Rot(4),), params=D3)
+    bare = CascadeWord(1, (Rot(4),))
     assert evaluate_word(word) == [GroupElement(1, False)] * 2
-    assert evaluate_word(bare) == [(1, False)] * 2
+    assert evaluate_word(bare) == [(4, False)] * 2
 
 
-def test_word_rejects_mgd_without_params():
-    with pytest.raises(ValueError):
-        CascadeWord(MGD, 1, (Rot(1),))
+def test_evaluate_word_shares_one_element_per_distinct_element():
+    # rows fold to nets 4, 4, -2, -2: one rational element per net and flag,
+    # and in D_3 the residues of 4 and -2 coincide
+    letters = (Rot(1), Refl({1}), Rot(3), Refl({2}))
+    for params, distinct in ((None, 4), (D3, 2)):
+        rows = evaluate_word(CascadeWord(2, letters, params=params))
+        assert all(type(e) is GroupElement for e in rows)
+        assert len(set(rows)) == len({id(e) for e in rows}) == distinct
+
+
+def test_word_params_decide_the_group():
+    assert [f.name for f in fields(CascadeWord)] == ["n_vars", "letters", "params", "target_var"]
+    third = Rot(Fraction(1, 3))
+    with pytest.raises(TypeError, match="MGD exponents must be integers"):
+        CascadeWord(1, (third,), params=D3)
+    assert CascadeWord(1, (Rot(1),), params=D3).mode == MGD
+    assert CascadeWord(1, (third,)).mode == EQB
 
 
 def test_word_rejects_control_beyond_n_vars():
     # every control is bound: evaluate_word folds over exactly 2^n_vars rows
     with pytest.raises(ValueError, match="x3"):
-        CascadeWord(EQB, 2, (Refl({3}),))
+        CascadeWord(2, (Refl({3}),))

@@ -14,7 +14,7 @@ from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, bloch_trac
                               bloch_trace_csv, interaction_graph, map_to_circuit, rotation_matrix,
                               to_qasm, verify_quantum)
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
-from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
+from qcascade.words import MGD, CascadeWord, Refl, Rot
 from reference_statevector import p_one, strict_rows, verify_rows
 
 XOR2 = TruthVector.from_bits("0110")
@@ -212,7 +212,7 @@ def test_map_to_circuit_rejects_unsimplified_word():
                     # a^0 after a rotation whose gate is already built
                     (Rot(Fraction(1, 2)), Refl({1}), Rot(Fraction(1, 2)), Rot(Fraction(0)))]:
         with pytest.raises(ValueError, match="zero rotation"):
-            map_to_circuit(CascadeWord(EQB, 1, letters))
+            map_to_circuit(CascadeWord(1, letters))
 
 
 def _gates_letter_by_letter(word, basis, levels):
@@ -363,7 +363,7 @@ def test_verify_quantum_sign_flip_fails_every_row_on_the_unitary_alone():
 
 def test_verify_quantum_catches_a_leftover_reflection_the_probability_misses():
     # a^1 g[x1] a^1 g[x2] reads 0 on every row but is -I, Z or -Z on three
-    word = CascadeWord(EQB, 2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
+    word = CascadeWord(2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
     truth = TruthVector.from_bits("0000")
     assert verify_classical(word, truth).counts() == "1/4"
     for basis in ("X", "Y"):
