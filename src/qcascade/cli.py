@@ -48,11 +48,19 @@ class JobSpec:
     mode: str = EQB
     dihedral_n: int | None = None
     modulus: int | None = None
-    levels: int | None = None
     basis: str = "X"
     symmetry: bool = True
     emit: tuple[str, ...] = ()
     trace_input: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in (EQB, MGD):
+            raise JobError(f"field 'mode': expected '{EQB}' or '{MGD}', got {self.mode!r}")
+        for key in ("dihedral_n", "modulus"):
+            if self.mode == MGD and getattr(self, key) is None:
+                raise JobError(f"field '{key}': required in MGD mode")
+            if self.mode == EQB and getattr(self, key) is not None:
+                raise JobError(f"field '{key}': only valid in MGD mode")
 
 
 _JOB_FIELDS = tuple(f.name for f in fields(JobSpec))
@@ -96,10 +104,10 @@ def _parse_truth(doc: dict, n: int) -> TruthVector:
 
 
 def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
-    doc = {k: v for k, v in doc.items() if v is not None}
     unknown = sorted(set(doc).difference(_JOB_FIELDS))
     if unknown:
         raise JobError(f"unknown field(s): {', '.join(unknown)}")
+    doc = {k: v for k, v in doc.items() if v is not None}
     for key in ("n", "truth"):
         if key not in doc:
             raise JobError(f"field '{key}': required")
@@ -117,15 +125,12 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
 
     truth = _parse_truth(doc, n)
 
-    dihedral_n = modulus = levels = None
+    dihedral_n = modulus = None
     if mode == EQB:
-        for key in ("dihedral_n", "modulus", "levels"):
+        for key in ("dihedral_n", "modulus"):
             if key in doc:
                 raise JobError(f"field '{key}': only valid in MGD mode")
-        bad = [i for i, v in enumerate(truth.values) if v not in (0, 1)]
-        if bad:
-            raise JobError(f"field 'truth': EQB values must be 0 or 1 "
-                           f"(found {truth.values[bad[0]]} at row {bad[0]})")
+        top, rule = 2, "EQB values must be 0 or 1"
     else:
         if "dihedral_n" not in doc:
             raise JobError("field 'dihedral_n': required in MGD mode")
@@ -141,17 +146,11 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
         if modulus % dihedral_n:
             raise JobError(f"field 'modulus': must be a multiple of dihedral_n={dihedral_n}, "
                            f"got {modulus}")
-        levels = _field_int(doc, "levels") if "levels" in doc else max(2, max(truth.values) + 1)
-        if levels < 2:
-            raise JobError(f"field 'levels': must be at least 2, got {levels}")
-        # more levels than rails would alias values that differ by dihedral_n
-        if levels > dihedral_n:
-            raise JobError(f"field 'levels': must be at most dihedral_n={dihedral_n}, "
-                           f"got {levels} (truth values must be distinct mod {dihedral_n})")
-        bad = [i for i, v in enumerate(truth.values) if not 0 <= v < levels]
-        if bad:
-            raise JobError(f"field 'truth': values must lie in 0..{levels - 1} "
-                           f"(found {truth.values[bad[0]]} at row {bad[0]})")
+        # values that differ by dihedral_n would fold to one element of D_n
+        top, rule = dihedral_n, f"MGD values must lie in 0..{dihedral_n - 1}"
+    bad = [i for i, v in enumerate(truth.values) if not 0 <= v < top]
+    if bad:
+        raise JobError(f"field 'truth': {rule} (found {truth.values[bad[0]]} at row {bad[0]})")
 
     basis = str(doc.get("basis", "X")).upper()
     if basis not in ("X", "Y"):
@@ -182,8 +181,7 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
         raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
 
     return JobSpec(n=n, truth=truth, mode=mode, dihedral_n=dihedral_n, modulus=modulus,
-                   levels=levels, basis=basis, symmetry=symmetry, emit=emit,
-                   trace_input=trace_input)
+                   basis=basis, symmetry=symmetry, emit=emit, trace_input=trace_input)
 
 
 def _load_object(text: str) -> dict:
@@ -260,7 +258,7 @@ def run_pipeline(job: JobSpec) -> SynthesisReport:
     if job.mode == EQB and job.symmetry and run("symmetry", lambda: detect_symmetry(job.truth)):
         reduced = run("reduce", lambda: reduce_by_symmetry(job.truth))
     word = simplified if reduced is None else reduced
-    circuit = run("map", lambda: map_to_circuit(word, basis=job.basis, levels=job.levels))
+    circuit = run("map", lambda: map_to_circuit(word, basis=job.basis))
     classical = run("verify_classical", lambda: verify_classical(word, job.truth))
     quantum = run("verify_quantum", lambda: verify_quantum(circuit, job.truth)) if job.mode == EQB else None
     connectivity = run("connectivity", lambda: interaction_graph(circuit))
@@ -270,13 +268,14 @@ def run_pipeline(job: JobSpec) -> SynthesisReport:
                            timings=timings)
 
 
-def _verification_dict(report: VerificationReport | None):
+def _verification_dict(report: VerificationReport | None, n: int):
     if report is None:
         return None
+    # rows come in row order, so row x's input bits are x in n binary digits
     return {"passed": report.passed,
-            "rows": [{"input": "".join(map(str, row.assignment)),
+            "rows": [{"input": bin(x | 1 << n)[3:],
                       "expected": row.expected, "got": row.got, "ok": row.ok}
-                     for row in report.rows]}
+                     for x, row in enumerate(report.rows)]}
 
 
 def _gate_entry(g: Gate) -> dict:
@@ -319,8 +318,8 @@ def report_to_mapping(report: SynthesisReport) -> dict:
                     "layout": {f"x{v}": q for v, q in report.circuit.layout},
                     "gates": [entry_of[id(g)] for g in gates],
                     "gate_counts": report.circuit.gate_counts()},
-        "verification": {"classical": _verification_dict(report.classical),
-                         "quantum": _verification_dict(report.quantum)},
+        "verification": {"classical": _verification_dict(report.classical, report.job.truth.n),
+                         "quantum": _verification_dict(report.quantum, report.job.truth.n)},
         "connectivity": {"edges": [list(e) for e in report.connectivity.edges],
                          "is_star": report.connectivity.is_star,
                          "triangle_free": report.connectivity.triangle_free,
@@ -355,7 +354,7 @@ def print_report(report: SynthesisReport) -> None:
     job = report.job
     header = f"n={job.n} mode={job.mode} basis={job.basis}"
     if job.mode == MGD:
-        header += f" dihedral_n={job.dihedral_n} modulus={job.modulus} levels={job.levels}"
+        header += f" dihedral_n={job.dihedral_n} modulus={job.modulus}"
     print(header)
     print(f"spectrum: {report.spectrum}")
     print(f"canonical word ({len(report.canonical)} letters): {report.canonical}")
@@ -414,7 +413,6 @@ def build_parser() -> CliParser:
                         help="dihedral group order (MGD)")
     parser.add_argument("--modulus", type=int,
                         help="spectrum modulus (MGD, default dihedral order)")
-    parser.add_argument("--levels", type=int, help="output level count for the MGD angle scale")
     parser.add_argument("--no-symmetry", action="store_true", help="disable the symmetry reduction")
     parser.add_argument("--emit", help=f"comma-separated targets: {','.join(EMIT_TARGETS)}")
     parser.add_argument("--out-dir", default=".", help="directory for emitted files (default .)")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cascade import VerificationReport, VerificationRow
 from .spectral import TruthVector
-from .words import EQB, MGD, CascadeWord, Refl, Rot
+from .words import CascadeWord, Rot
 
 RX, RY, CZ = "RX", "RY", "CZ"
 GATE_KINDS = frozenset({RX, RY, CZ})
@@ -119,22 +119,21 @@ class QCircuit:
         return counts
 
 
-def map_to_circuit(word: CascadeWord, basis: str = "X", levels: int | None = None) -> QCircuit:
+def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
     """Translate a simplified word into gates.
 
-    Rotations become R_basis(w * pi) in EQB mode or R_basis(w * pi / levels)
-    in MGD mode; each reflection control contributes one CZ against the
-    target.  Words containing a^0 are rejected: simplify first.  Equal
-    gates are one shared ``Gate`` object: one per rotation exponent and one
-    per CZ control.
+    A rotation a^w becomes R_basis(pi * w) over the infinite dihedral group
+    (EQB) and R_basis(2 * pi * w / n) over D_n (MGD, n from ``word.params``):
+    there a^n maps to R(2 * pi) = -I and g to the CZ sign flip Z, so the
+    circuit represents D_n up to sign.  Each reflection control contributes
+    one CZ against the target.  Words containing a^0 are rejected: simplify
+    first.  Equal gates are one shared ``Gate`` object: one per rotation
+    exponent and one per CZ control.
     """
     if basis not in ("X", "Y"):
         raise ValueError(f"basis must be 'X' or 'Y', got {basis!r}")
-    if word.mode == MGD:
-        if levels is None or levels < 1:
-            raise ValueError("MGD words need a positive level count for the angle scale")
-    elif levels is not None:
-        raise ValueError("levels only apply to MGD words")
+    # half-turns per unit of rotation exponent
+    scale = 1 if word.params is None else Fraction(2, word.params.n)
     rot_kind = RX if basis == "X" else RY
     n = word.n_vars
     if word.target_var is None:
@@ -155,10 +154,8 @@ def map_to_circuit(word: CascadeWord, basis: str = "X", levels: int | None = Non
             if gate is None:
                 if letter.exponent == 0:
                     raise ValueError("word is not simplified: zero rotation present")
-                frac = Fraction(letter.exponent)
-                if word.mode == MGD:
-                    frac /= levels
-                gate = rotations[letter.exponent] = Gate(rot_kind, target, pi_frac=frac)
+                gate = rotations[letter.exponent] = Gate(rot_kind, target,
+                                                         pi_frac=letter.exponent * scale)
             gates.append(gate)
         else:
             for v in sorted(letter.controls):

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_criterion_1_golden_example():
     ok = (spectrum.coeffs == (-1, 0, 0, 1)
           and str(word) == "a^-1 g[x1,x2] a^1 g[x1,x2]"
           and best < 1e-3)
-    _CIRCUITS.append(("example-1", map_to_circuit(word, levels=2)))
+    _CIRCUITS.append(("example-1", map_to_circuit(word)))
     _report(1, "golden two-variable example, exact, under 1 ms", ok,
             f"spectrum {spectrum}, word '{word}', best of 5: {best * 1e3:.3f} ms")
 
@@ -177,6 +178,22 @@ def test_criterion_6_symmetry_reduction_saves_a_qubit_and_gates():
             f"{checked} functions" + (f", first failure {failures[0]}" if failures else ""))
 
 
+def _star_offenders(circuits, graph_of):
+    """Labels of the circuits whose graph, from ``graph_of``, is not a star
+    on the target or does not have one edge per CZ in the gate list."""
+    bad = []
+    for label, circuit in circuits:
+        graph = graph_of(circuit)
+        target = circuit.target_qubit
+        centered = not graph.edges or target in graph.centers
+        on_target = all(target in e and e[0] != e[1] for e in graph.edges)
+        cz_edges = {tuple(sorted((g.control, g.target))) for g in circuit.gates if g.kind == "CZ"}
+        if not (graph.is_star and graph.triangle_free and centered and on_target
+                and set(graph.edges) == cz_edges):
+            bad.append(label)
+    return bad
+
+
 def test_criterion_7_interaction_graphs_are_target_centered_stars():
     if not _CIRCUITS:  # standalone run: rebuild a representative family
         for values in itertools.product((0, 1), repeat=4):
@@ -185,15 +202,23 @@ def test_criterion_7_interaction_graphs_are_target_centered_stars():
         for n in (3, 4, 5):
             for _ in range(40):
                 _CIRCUITS.append((f"eqb-n{n}", _eqb_circuit(_random_truth(rng, n))[1]))
-    bad = []
-    for label, circuit in _CIRCUITS:
-        graph = interaction_graph(circuit)
-        centered = not graph.edges or circuit.target_qubit in graph.centers
-        if not (graph.is_star and graph.triangle_free and centered):
-            bad.append(label)
+    bad = _star_offenders(_CIRCUITS, interaction_graph)
     ok = not bad
     _report(7, "every circuit couples qubits in a target-centered star", ok,
             f"{len(_CIRCUITS)} circuits" + (f", offenders {bad[:3]}" if bad else ""))
+
+
+def test_criterion_7_catches_an_edge_off_the_target():
+    circuit = _eqb_circuit(TruthVector(3, (0, 1, 1, 0, 1, 0, 0, 1)))[1]
+
+    def moved(circuit):
+        graph = interaction_graph(circuit)
+        (a, b), *rest = graph.edges
+        off = (min(a, b) + 1, max(a, b) + 1)  # neither end is the target q[0]
+        return replace(graph, edges=(off, *rest))
+
+    assert _star_offenders([("xor3", circuit)], interaction_graph) == []
+    assert _star_offenders([("xor3", circuit)], moved) == ["xor3"]
 
 
 def test_criterion_8_ten_variable_synthesis_under_a_minute():

@@ -38,13 +38,15 @@ def test_parse_job_mgd_defaults():
     assert job.mode == MGD
     assert job.dihedral_n == 3
     assert job.modulus == 3
-    assert job.levels == 2
 
 
-def test_parse_job_mgd_levels_track_truth_range():
-    job = parse_job('{"n": 1, "truth": [0, 2], "mode": "mgd", "dihedral_n": 5}')
-    assert job.levels == 3
+def test_parse_job_mgd_truth_ranges_over_dihedral_n():
+    job = parse_job('{"n": 1, "truth": [0, 4], "mode": "mgd", "dihedral_n": 5}')
+    assert job.truth.values == (0, 4)
     assert job.modulus == 5
+    with pytest.raises(JobError, match=r"'truth': MGD values must lie in 0\.\.4 "
+                                       r"\(found 5 at row 1\)"):
+        parse_job('{"n": 1, "truth": [0, 5], "mode": "mgd", "dihedral_n": 5}')
 
 
 def test_parse_job_accepts_truth_list_and_emit_string():
@@ -89,11 +91,15 @@ def test_parse_job_accepts_large_n_only_when_forced():
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3, "modulus": 6}', "odd"),
     ('{"n": 3, "truth": "01201021", "mode": "mgd", "dihedral_n": 3, "modulus": 5}',
      "multiple of dihedral_n=3"),
-    ('{"n": 2, "truth": "0340", "mode": "mgd", "dihedral_n": 3}', "at most dihedral_n=3"),
-    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3, "levels": 4}',
-     "at most dihedral_n=3"),
-    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3, "levels": 1}', "at least 2"),
-    ('{"n": 1, "truth": [0, 3], "mode": "mgd", "dihedral_n": 3, "levels": 2}', "0..1"),
+    ('{"n": 2, "truth": "0340", "mode": "mgd", "dihedral_n": 3}',
+     r"'truth': MGD values must lie in 0\.\.2 \(found 3 at row 1\)"),
+    ('{"n": 1, "truth": "03", "mode": "mgd", "dihedral_n": 3}', r"'truth'.*at row 1\)"),
+    ('{"n": 1, "truth": [0, -1], "mode": "mgd", "dihedral_n": 3}', r"'truth'.*at row 1\)"),
+    # MGD angles follow dihedral_n; there is no levels field
+    ('{"n": 1, "truth": [0, 3], "mode": "mgd", "dihedral_n": 3, "levels": 2}',
+     r"unknown field\(s\): levels"),
+    ('{"n": 2, "truth": "0110", "levels": null, "spam": null}',
+     r"unknown field\(s\): levels, spam"),
     ('{"n": 2, "truth": "0110", "basis": "z"}', "'basis'"),
     ('{"n": 2, "truth": "0110", "symmetry": 1}', "true or false"),
     ('{"n": 2, "truth": "0110", "emit": 5}', "list of targets"),
@@ -108,10 +114,23 @@ def test_parse_job_diagnostics(text, needle):
         parse_job(text)
 
 
+@pytest.mark.parametrize("fields_,needle", [
+    ({"mode": "bogus"}, "'mode': expected 'eqb' or 'mgd', got 'bogus'"),
+    ({"mode": MGD}, "'dihedral_n': required in MGD mode"),
+    ({"mode": MGD, "modulus": 3}, "'dihedral_n': required in MGD mode"),
+    ({"mode": MGD, "dihedral_n": 3}, "'modulus': required in MGD mode"),
+    ({"dihedral_n": 3}, "'dihedral_n': only valid in MGD mode"),
+    ({"modulus": 3}, "'modulus': only valid in MGD mode"),
+])
+def test_job_spec_rejects_fields_its_mode_contradicts(fields_, needle):
+    with pytest.raises(JobError, match=needle):
+        JobSpec(n=2, truth=TruthVector(2, (0, 1, 1, 0)), **fields_)
+
+
 def test_job_round_trips_through_mapping():
     for text in (XOR_JOB,
                  MGD_JOB,
-                 '{"n": 1, "truth": [0, 2], "mode": "mgd", "dihedral_n": 5, "levels": 4}',
+                 '{"n": 1, "truth": [0, 4], "mode": "mgd", "dihedral_n": 5, "modulus": 15}',
                  '{"n": 2, "truth": "0110", "emit": "word,json", "trace_input": "10", '
                  '"basis": "y", "symmetry": false}'):
         job = parse_job(text)
@@ -134,7 +153,6 @@ _FIELDS = {
     "mode": st.sampled_from(["eqb", "mgd", "MGD", "qft"]),
     "dihedral_n": st.integers(-1, 12),
     "modulus": st.integers(-1, 40),
-    "levels": st.integers(-1, 9),
     "basis": st.sampled_from(["x", "y", "Y", "z"]),
     "symmetry": st.booleans(),
     "emit": st.lists(st.sampled_from(EMIT_TARGETS + ("png",)), max_size=3)
@@ -152,18 +170,17 @@ _JOB_DOCS = (st.fixed_dictionaries({k: _FIELDS[k] for k in _REQUIRED},
 def _valid_jobs(draw):
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        mode, dihedral_n, modulus, levels, top = EQB, None, None, None, 1
+        mode, dihedral_n, modulus, top = EQB, None, None, 1
     else:
         dihedral_n = draw(st.sampled_from([3, 5, 7]))
         modulus = dihedral_n * draw(st.sampled_from([1, 3, 5]))
-        levels = draw(st.integers(2, dihedral_n))
-        mode, top = MGD, levels - 1
+        mode, top = MGD, draw(st.integers(1, dihedral_n - 1))
     values = draw(st.lists(st.integers(0, top), min_size=1 << n, max_size=1 << n))
     emit = tuple(draw(st.lists(st.sampled_from(EMIT_TARGETS), max_size=4)))
     # a bloch-csv target needs a trace input
     bits = st.text("01", min_size=n, max_size=n)
     return JobSpec(n=n, truth=TruthVector(n, tuple(values)), mode=mode, dihedral_n=dihedral_n,
-                   modulus=modulus, levels=levels, basis=draw(st.sampled_from("XY")),
+                   modulus=modulus, basis=draw(st.sampled_from("XY")),
                    symmetry=draw(st.booleans()), emit=emit,
                    trace_input=draw(bits if "bloch-csv" in emit else st.none() | bits))
 
@@ -189,7 +206,7 @@ def _flag(key, value) -> list[str]:
     if key == "symmetry":
         return [] if value else ["--no-symmetry"]
     if key == "truth" and isinstance(value, list):
-        value = "".join(map(str, value))  # MGD levels stay below 10
+        value = "".join(map(str, value))  # MGD values stay below 10
     elif key == "emit":
         value = ",".join(value)
     return ["--input" if key == "trace_input" else "--" + key.replace("_", "-"), str(value)]
@@ -409,6 +426,11 @@ def test_report_json_equals_stdlib_encoding_on_seeded_jobs(tmp_path):
         mapping = report_to_mapping(report)
         data = (tmp_path / "report.json").read_bytes()
         assert data == (json.dumps(mapping, sort_keys=True) + "\n").encode(), doc
+        for kind in ("classical", "quantum"):
+            if getattr(report, kind) is not None:
+                assert ([row["input"] for row in mapping["verification"][kind]["rows"]]
+                        == ["".join(map(str, row.assignment))
+                            for row in getattr(report, kind).rows]), doc
         want = json.dumps(mapping, indent=2, sort_keys=True) + "\n"
         assert _reindented(data) == want.encode(), doc
 
@@ -425,7 +447,9 @@ def test_emitted_files_are_byte_identical_across_runs(tmp_path):
 # sha256 of the files `synth --emit word,qasm,json,bloch-csv` writes, pinned
 # from the earlier simulator that ran each input row on the full statevector:
 # the current simulators must write the same bytes.  report.json is pinned in
-# its earlier indented layout, so it is hashed re-indented
+# its earlier indented layout, so it is hashed re-indented.  The MGD job's
+# circuit.qasm, report.json and trace.csv are pinned later, from the rotation
+# angle 2*pi*w/dihedral_n
 GOLDEN_EMIT = {
     ("--n", "3", "--truth", "01101001", "--input", "101"): {
         "word.txt": "a3bfa3139c4c160efcd4408ed070a7fa9e7bfc9762a309af9e44f7130f650597",
@@ -447,9 +471,9 @@ GOLDEN_EMIT = {
     },
     ("--n", "3", "--truth", "04213043", "--mode", "mgd", "--dihedral-n", "5", "--input", "010"): {
         "word.txt": "661a7e2496aaff88666ecbdf7b91a802bdba4e3f0b5a2f690cb55538619cc7ff",
-        "circuit.qasm": "1597ec513522d3e687d203711b7aa07caa86f0340f7381d07097eee27acb6415",
-        "report.json": "ce1e67c0ef697a09ad27f3946c2fe4af69558780d387ab347aa24f00a206e23e",
-        "trace.csv": "5a484773f7faef87cc1fbb5b1677c11793cbe89f0efc93bc1ec620e197f0126d",
+        "circuit.qasm": "96d755f1ddf524358950cacff9f985056b0de346bec31f8f19a6bfe123c3aeeb",
+        "report.json": "6b1b206e8848e220c57d0190c48c57e9d3cb4ffafbf62622b8c2e7c6723e9cd0",
+        "trace.csv": "f05eea71a915a77fcfd13a630b9c824ac3f615ecfbf72c7e6841488523636572",
     },
 }
 
@@ -584,6 +608,14 @@ def test_main_usage_errors_exit_one(capsys):
                   ["--n", "2", "--truth", "0340"]):
         assert main(["synth", *flags, "--mode", "mgd", "--dihedral-n", "3"]) == 1
         assert "qcascade: error: field" in capsys.readouterr().err
+    assert main(["synth", "--n", "1", "--truth", "03", "--mode", "mgd", "--dihedral-n", "3"]) == 1
+    assert ("qcascade: error: field 'truth': MGD values must lie in 0..2 (found 3 at row 1)\n"
+            == capsys.readouterr().err)
+    with pytest.raises(SystemExit) as info:
+        main(["synth", "--n", "2", "--truth", "0110", "--mode", "mgd", "--dihedral-n", "3",
+              "--levels", "3"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --levels" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         main(["bogus-command"])
     assert info.value.code == 1
@@ -678,7 +710,6 @@ _FLAG_VALUES = {
     "--basis": st.sampled_from(["x", "Y", "z"]),
     "--dihedral-n": st.sampled_from(["3", "4", "5", "7", "-3", "x"]),
     "--modulus": st.sampled_from(["3", "5", "6", "9", "15"]),
-    "--levels": st.integers(-1, 8).map(str),
     "--emit": st.sampled_from(["word", "json", "qasm,json", "bloch-csv", "png", ""]),
     "--input": st.text("012", max_size=5),
     "--no-symmetry": st.none(),

@@ -192,12 +192,34 @@ def test_map_to_circuit_symmetry_layout_drops_ancilla():
         (RX, 1, None), (CZ, 1, 0), (RX, 1, None), (CZ, 1, 0)]
 
 
-def test_map_to_circuit_scales_mgd_angles_by_levels():
+def test_map_to_circuit_scales_mgd_angles_by_group_order():
     word = simplify(canonical_cascade(spectrum_mod(XOR2, 3), DihedralParams(3)))
-    circ = map_to_circuit(word, levels=2)
+    circ = map_to_circuit(word)
     rots = [g for g in circ.gates if g.kind == RX]
-    assert [g.pi_frac for g in rots] == [Fraction(-1, 2), Fraction(1, 2)]
+    # a^w turns by 2*pi*w/3
+    assert [g.pi_frac for g in rots] == [Fraction(-2, 3), Fraction(2, 3)]
     assert circ.num_qubits == 3 and len(circ.gates) == 6
+
+
+def test_mgd_circuits_represent_the_dihedral_group_up_to_sign():
+    # a -> R(2*pi/d), g -> Z: on row x the compiled circuit over D_d, with
+    # spectrum modulus d or 3d, must act on the target as +-R(2*pi*F(x)/d)
+    z = np.diag([1.0, -1.0])
+    rng = random.Random(31)
+    for d, n, mult, basis in itertools.product((3, 5, 7), range(1, 6), (1, 3), "XY"):
+        truth = TruthVector(n, [rng.randrange(d) for _ in range(1 << n)])
+        word = simplify(canonical_cascade(spectrum_mod(truth, mult * d), DihedralParams(d)))
+        circ = map_to_circuit(word, basis=basis)
+        for x, value in enumerate(truth.values):
+            bit_of = {q: (x >> (n - v)) & 1 for v, q in circ.layout}
+            u = np.eye(2)
+            for g in circ.gates:
+                if g.kind == CZ:
+                    u = z @ u if bit_of[g.control] else u
+                else:
+                    u = rotation_matrix(basis, g.angle) @ u
+            want = rotation_matrix(basis, 2 * math.pi * value / d)
+            assert min(np.abs(u - want).max(), np.abs(u + want).max()) <= 1e-9, (d, truth, x)
 
 
 def test_map_to_circuit_basis_y():
@@ -215,15 +237,15 @@ def test_map_to_circuit_rejects_unsimplified_word():
             map_to_circuit(CascadeWord(1, letters))
 
 
-def _gates_letter_by_letter(word, basis, levels):
+def _gates_letter_by_letter(word, basis):
     """One new Gate per rotation letter and per reflection control."""
     kind = RX if basis == "X" else RY
     target, shift = (0, 0) if word.target_var is None else (word.target_var - 1, 1)
     gates = []
     for letter in word.letters:
         if isinstance(letter, Rot):
-            scale = levels if word.mode == MGD else 1
-            gates.append(Gate(kind, target, pi_frac=Fraction(letter.exponent) / scale))
+            scale = Fraction(2, word.params.n) if word.mode == MGD else 1
+            gates.append(Gate(kind, target, pi_frac=Fraction(letter.exponent) * scale))
         else:
             gates += [Gate(CZ, target, control=v - shift) for v in sorted(letter.controls)]
     return tuple(gates)
@@ -234,28 +256,19 @@ def test_map_to_circuit_builds_each_distinct_gate_once():
     cases = []
     for n in range(1, 6):
         truth = TruthVector(n, [rng.getrandbits(1) for _ in range(1 << n)])
-        cases.append((simplify(canonical_cascade(spectrum_exact(truth))), None))
+        cases.append(simplify(canonical_cascade(spectrum_exact(truth))))
         odd = TruthVector(n, [b for _ in range(1 << (n - 1)) for h in [rng.getrandbits(1)]
                               for b in (h, 1 - h)])
-        cases.append((reduce_by_symmetry(odd), None))
+        cases.append(reduce_by_symmetry(odd))
         for d in (3, 5, 7):
-            levels = rng.randrange(2, d + 1)
-            truth = TruthVector(n, [rng.randrange(levels) for _ in range(1 << n)])
+            truth = TruthVector(n, [rng.randrange(d) for _ in range(1 << n)])
             params = DihedralParams(d)
-            cases.append((simplify(canonical_cascade(spectrum_mod(truth, d), params)), levels))
-    for word, levels in cases:
+            cases.append(simplify(canonical_cascade(spectrum_mod(truth, d), params)))
+    for word in cases:
         for basis in ("X", "Y"):
-            gates = map_to_circuit(word, basis=basis, levels=levels).gates
-            assert gates == _gates_letter_by_letter(word, basis, levels)
+            gates = map_to_circuit(word, basis=basis).gates
+            assert gates == _gates_letter_by_letter(word, basis)
             assert len({id(g) for g in gates}) == len(set(gates))
-
-
-def test_map_to_circuit_levels_contract():
-    mgd_word = simplify(canonical_cascade(spectrum_mod(XOR2, 3), DihedralParams(3)))
-    with pytest.raises(ValueError):
-        map_to_circuit(mgd_word)
-    with pytest.raises(ValueError):
-        map_to_circuit(simplify(canonical_cascade(spectrum_exact(XOR2))), levels=2)
 
 
 def test_verify_quantum_xor_passes():
