@@ -43,24 +43,49 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class JobSpec:
+    """A synthesis job.  Construction checks every value, as ``parse_job``
+    does for a JSON document (bar the ``--force-large`` size limit)."""
+
     n: int
     truth: TruthVector
     mode: str = EQB
     dihedral_n: int | None = None
-    modulus: int | None = None
     basis: str = "X"
     symmetry: bool = True
     emit: tuple[str, ...] = ()
     trace_input: str | None = None
 
     def __post_init__(self) -> None:
+        n, d, bits = self.n, self.dihedral_n, self.trace_input
+        if n < 1:
+            raise JobError(f"field 'n': at least one input variable required, got {n}")
+        if self.truth.n != n:
+            raise _entries_error(n, len(self.truth.values))
         if self.mode not in (EQB, MGD):
             raise JobError(f"field 'mode': expected '{EQB}' or '{MGD}', got {self.mode!r}")
-        for key in ("dihedral_n", "modulus"):
-            if self.mode == MGD and getattr(self, key) is None:
-                raise JobError(f"field '{key}': required in MGD mode")
-            if self.mode == EQB and getattr(self, key) is not None:
-                raise JobError(f"field '{key}': only valid in MGD mode")
+        if (d is None) != (self.mode == EQB):
+            raise JobError(f"field 'dihedral_n': {'required' if d is None else 'only valid'} in MGD mode")
+        top, rule = 2, "EQB values must be 0 or 1"
+        if d is not None:
+            if d > MAX_DIHEDRAL_N:
+                raise JobError(f"field 'dihedral_n': must be at most {MAX_DIHEDRAL_N}, got {d}")
+            if not _is_prime(d) or d == 2:
+                raise JobError(f"field 'dihedral_n': MGD mode needs an odd prime group order, got {d}")
+            # values that differ by dihedral_n would fold to one element of D_n
+            top, rule = d, f"MGD values must lie in 0..{d - 1}"
+        bad = [i for i, v in enumerate(self.truth.values) if not 0 <= v < top]
+        if bad:
+            raise JobError(f"field 'truth': {rule} (found {self.truth.values[bad[0]]} at row {bad[0]})")
+        if self.basis not in ("X", "Y"):
+            raise JobError(f"field 'basis': expected 'X' or 'Y', got {self.basis!r}")
+        bad_targets = [t for t in self.emit if t not in EMIT_TARGETS]
+        if bad_targets:
+            raise JobError(f"field 'emit': unknown target(s) {', '.join(bad_targets)} "
+                           f"(valid: {', '.join(EMIT_TARGETS)})")
+        if bits is not None and (len(bits) != n or any(c not in "01" for c in bits)):
+            raise JobError(f"field 'trace_input': expected {n} bits, got {bits!r}")
+        if bits is None and "bloch-csv" in self.emit:
+            raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
 
 
 _JOB_FIELDS = tuple(f.name for f in fields(JobSpec))
@@ -84,6 +109,12 @@ def _field_int(doc: dict, key: str):
     return value
 
 
+def _entries_error(n: int, got: int) -> JobError:
+    # 1 << n takes n / 8 bytes to build, and no list holds 2**64 entries
+    want = 1 << n if 0 <= n < 64 else f"2**{n}"
+    return JobError(f"field 'truth': expected {want} entries for n={n}, got {got}")
+
+
 def _parse_truth(doc: dict, n: int) -> TruthVector:
     raw = doc["truth"]
     if isinstance(raw, str):
@@ -96,14 +127,14 @@ def _parse_truth(doc: dict, n: int) -> TruthVector:
         values = tuple(raw)
     else:
         raise JobError(f"field 'truth': expected a string or list, got {type(raw).__name__}")
-    # no list holds 2**64 entries, and 1 << n takes n / 8 bytes to build
-    if n >= 64 or len(values) != 1 << n:
-        want = 1 << n if n < 64 else f"2**{n}"
-        raise JobError(f"field 'truth': expected {want} entries for n={n}, got {len(values)}")
-    return TruthVector(n, values)
+    # JobSpec compares the vector's width with n
+    if not values or len(values) & (len(values) - 1):
+        raise _entries_error(n, len(values))
+    return TruthVector((len(values) - 1).bit_length(), values)
 
 
 def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
+    # field names, JSON types and the size limit; JobSpec checks the values
     unknown = sorted(set(doc).difference(_JOB_FIELDS))
     if unknown:
         raise JobError(f"unknown field(s): {', '.join(unknown)}")
@@ -113,48 +144,11 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
             raise JobError(f"field '{key}': required")
 
     n = _field_int(doc, "n")
-    if n < 1:
-        raise JobError(f"field 'n': at least one input variable required, got {n}")
     if n > MAX_VARS_DEFAULT and not allow_large:
         raise JobError(f"field 'n': {n} exceeds the default limit of {MAX_VARS_DEFAULT} "
                        "(pass --force-large to override)")
-
-    mode = str(doc.get("mode", EQB)).lower()
-    if mode not in (EQB, MGD):
-        raise JobError(f"field 'mode': expected '{EQB}' or '{MGD}', got {doc.get('mode')!r}")
-
     truth = _parse_truth(doc, n)
-
-    dihedral_n = modulus = None
-    if mode == EQB:
-        for key in ("dihedral_n", "modulus"):
-            if key in doc:
-                raise JobError(f"field '{key}': only valid in MGD mode")
-        top, rule = 2, "EQB values must be 0 or 1"
-    else:
-        if "dihedral_n" not in doc:
-            raise JobError("field 'dihedral_n': required in MGD mode")
-        dihedral_n = _field_int(doc, "dihedral_n")
-        if dihedral_n > MAX_DIHEDRAL_N:
-            raise JobError(f"field 'dihedral_n': must be at most {MAX_DIHEDRAL_N}, got {dihedral_n}")
-        if not _is_prime(dihedral_n) or dihedral_n == 2:
-            raise JobError(f"field 'dihedral_n': MGD mode needs an odd prime group order, got {dihedral_n}")
-        modulus = _field_int(doc, "modulus") if "modulus" in doc else dihedral_n
-        if modulus % 2 == 0 or modulus < 3:
-            raise JobError(f"field 'modulus': must be an odd number >= 3, got {modulus}")
-        # residues mod m fold soundly into D_n only when n divides m
-        if modulus % dihedral_n:
-            raise JobError(f"field 'modulus': must be a multiple of dihedral_n={dihedral_n}, "
-                           f"got {modulus}")
-        # values that differ by dihedral_n would fold to one element of D_n
-        top, rule = dihedral_n, f"MGD values must lie in 0..{dihedral_n - 1}"
-    bad = [i for i, v in enumerate(truth.values) if not 0 <= v < top]
-    if bad:
-        raise JobError(f"field 'truth': {rule} (found {truth.values[bad[0]]} at row {bad[0]})")
-
-    basis = str(doc.get("basis", "X")).upper()
-    if basis not in ("X", "Y"):
-        raise JobError(f"field 'basis': expected 'x' or 'y', got {doc.get('basis')!r}")
+    dihedral_n = _field_int(doc, "dihedral_n") if "dihedral_n" in doc else None
 
     symmetry = doc.get("symmetry", True)
     if not isinstance(symmetry, bool):
@@ -165,23 +159,14 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
         emit_raw = [t for t in emit_raw.split(",") if t]
     if not isinstance(emit_raw, list):
         raise JobError("field 'emit': expected a list of targets")
-    emit = tuple(str(t) for t in emit_raw)
-    bad_targets = [t for t in emit if t not in EMIT_TARGETS]
-    if bad_targets:
-        raise JobError(f"field 'emit': unknown target(s) {', '.join(bad_targets)} "
-                       f"(valid: {', '.join(EMIT_TARGETS)})")
 
     trace_input = doc.get("trace_input")
-    if trace_input is not None:
-        if not isinstance(trace_input, str):
-            raise JobError(f"field 'trace_input': expected a bit string, got {trace_input!r}")
-        if len(trace_input) != n or any(c not in "01" for c in trace_input):
-            raise JobError(f"field 'trace_input': expected {n} bits, got {trace_input!r}")
-    elif "bloch-csv" in emit:
-        raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
+    if trace_input is not None and not isinstance(trace_input, str):
+        raise JobError(f"field 'trace_input': expected a bit string, got {trace_input!r}")
 
-    return JobSpec(n=n, truth=truth, mode=mode, dihedral_n=dihedral_n, modulus=modulus,
-                   basis=basis, symmetry=symmetry, emit=emit, trace_input=trace_input)
+    return JobSpec(n=n, truth=truth, mode=str(doc.get("mode", EQB)).lower(), dihedral_n=dihedral_n,
+                   basis=str(doc.get("basis", "X")).upper(), symmetry=symmetry,
+                   emit=tuple(str(t) for t in emit_raw), trace_input=trace_input)
 
 
 def _load_object(text: str) -> dict:
@@ -233,7 +218,7 @@ class SynthesisReport:
 
 def _spectrum(job: JobSpec) -> WalshSpectrum:
     if job.mode == MGD:
-        return spectrum_mod(job.truth, job.modulus)
+        return spectrum_mod(job.truth, job.dihedral_n)
     return spectrum_exact(job.truth)
 
 
@@ -354,7 +339,7 @@ def print_report(report: SynthesisReport) -> None:
     job = report.job
     header = f"n={job.n} mode={job.mode} basis={job.basis}"
     if job.mode == MGD:
-        header += f" dihedral_n={job.dihedral_n} modulus={job.modulus}"
+        header += f" dihedral_n={job.dihedral_n}"
     print(header)
     print(f"spectrum: {report.spectrum}")
     print(f"canonical word ({len(report.canonical)} letters): {report.canonical}")
@@ -411,8 +396,6 @@ def build_parser() -> CliParser:
     parser.add_argument("--basis", choices=["x", "y", "X", "Y"], help="rotation basis (default X)")
     parser.add_argument("--dihedral-n", type=int, dest="dihedral_n",
                         help="dihedral group order (MGD)")
-    parser.add_argument("--modulus", type=int,
-                        help="spectrum modulus (MGD, default dihedral order)")
     parser.add_argument("--no-symmetry", action="store_true", help="disable the symmetry reduction")
     parser.add_argument("--emit", help=f"comma-separated targets: {','.join(EMIT_TARGETS)}")
     parser.add_argument("--out-dir", default=".", help="directory for emitted files (default .)")

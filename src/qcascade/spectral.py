@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,7 +23,8 @@ class TruthVector:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        # index() takes ints and numpy ints; int() would truncate floats and parse strings
+        object.__setattr__(self, "values", tuple(operator.index(v) for v in self.values))
         if self.n < 0:
             raise ValueError("variable count must be non-negative")
         if len(self.values) != 1 << self.n:

@@ -20,7 +20,6 @@ def build_subcommand_parser() -> CliParser:
         sub.add_argument("--mode", choices=[EQB, MGD])
         sub.add_argument("--basis", choices=["x", "y", "X", "Y"])
         sub.add_argument("--dihedral-n", type=int, dest="dihedral_n")
-        sub.add_argument("--modulus", type=int)
         sub.add_argument("--no-symmetry", action="store_true")
         sub.add_argument("--emit")
         sub.add_argument("--out-dir", default=".")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcascade.cascade import VerificationReport, VerificationRow
@@ -37,13 +37,11 @@ def test_parse_job_mgd_defaults():
     job = parse_job(MGD_JOB)
     assert job.mode == MGD
     assert job.dihedral_n == 3
-    assert job.modulus == 3
 
 
 def test_parse_job_mgd_truth_ranges_over_dihedral_n():
     job = parse_job('{"n": 1, "truth": [0, 4], "mode": "mgd", "dihedral_n": 5}')
     assert job.truth.values == (0, 4)
-    assert job.modulus == 5
     with pytest.raises(JobError, match=r"'truth': MGD values must lie in 0\.\.4 "
                                        r"\(found 5 at row 1\)"):
         parse_job('{"n": 1, "truth": [0, 5], "mode": "mgd", "dihedral_n": 5}')
@@ -88,9 +86,6 @@ def test_parse_job_accepts_large_n_only_when_forced():
     # a prime near 2**61: the cap answers before any trial division
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 2305843009213693951}',
      "at most 2147483647"),
-    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3, "modulus": 6}', "odd"),
-    ('{"n": 3, "truth": "01201021", "mode": "mgd", "dihedral_n": 3, "modulus": 5}',
-     "multiple of dihedral_n=3"),
     ('{"n": 2, "truth": "0340", "mode": "mgd", "dihedral_n": 3}',
      r"'truth': MGD values must lie in 0\.\.2 \(found 3 at row 1\)"),
     ('{"n": 1, "truth": "03", "mode": "mgd", "dihedral_n": 3}', r"'truth'.*at row 1\)"),
@@ -100,6 +95,9 @@ def test_parse_job_accepts_large_n_only_when_forced():
      r"unknown field\(s\): levels"),
     ('{"n": 2, "truth": "0110", "levels": null, "spam": null}',
      r"unknown field\(s\): levels, spam"),
+    # nor a modulus field: the spectrum is taken modulo dihedral_n
+    ('{"n": 1, "truth": [0, 2], "mode": "mgd", "dihedral_n": 3, "modulus": 9}',
+     r"unknown field\(s\): modulus"),
     ('{"n": 2, "truth": "0110", "basis": "z"}', "'basis'"),
     ('{"n": 2, "truth": "0110", "symmetry": 1}', "true or false"),
     ('{"n": 2, "truth": "0110", "emit": 5}', "list of targets"),
@@ -117,10 +115,9 @@ def test_parse_job_diagnostics(text, needle):
 @pytest.mark.parametrize("fields_,needle", [
     ({"mode": "bogus"}, "'mode': expected 'eqb' or 'mgd', got 'bogus'"),
     ({"mode": MGD}, "'dihedral_n': required in MGD mode"),
-    ({"mode": MGD, "modulus": 3}, "'dihedral_n': required in MGD mode"),
-    ({"mode": MGD, "dihedral_n": 3}, "'modulus': required in MGD mode"),
+    ({"mode": MGD, "dihedral_n": None}, "'dihedral_n': required in MGD mode"),
+    ({"mode": EQB, "dihedral_n": 3}, "'dihedral_n': only valid in MGD mode"),
     ({"dihedral_n": 3}, "'dihedral_n': only valid in MGD mode"),
-    ({"modulus": 3}, "'modulus': only valid in MGD mode"),
 ])
 def test_job_spec_rejects_fields_its_mode_contradicts(fields_, needle):
     with pytest.raises(JobError, match=needle):
@@ -130,7 +127,7 @@ def test_job_spec_rejects_fields_its_mode_contradicts(fields_, needle):
 def test_job_round_trips_through_mapping():
     for text in (XOR_JOB,
                  MGD_JOB,
-                 '{"n": 1, "truth": [0, 4], "mode": "mgd", "dihedral_n": 5, "modulus": 15}',
+                 '{"n": 1, "truth": [0, 4], "mode": "mgd", "dihedral_n": 5}',
                  '{"n": 2, "truth": "0110", "emit": "word,json", "trace_input": "10", '
                  '"basis": "y", "symmetry": false}'):
         job = parse_job(text)
@@ -152,7 +149,6 @@ _FIELDS = {
                max_size=17),
     "mode": st.sampled_from(["eqb", "mgd", "MGD", "qft"]),
     "dihedral_n": st.integers(-1, 12),
-    "modulus": st.integers(-1, 40),
     "basis": st.sampled_from(["x", "y", "Y", "z"]),
     "symmetry": st.booleans(),
     "emit": st.lists(st.sampled_from(EMIT_TARGETS + ("png",)), max_size=3)
@@ -170,17 +166,16 @@ _JOB_DOCS = (st.fixed_dictionaries({k: _FIELDS[k] for k in _REQUIRED},
 def _valid_jobs(draw):
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        mode, dihedral_n, modulus, top = EQB, None, None, 1
+        mode, dihedral_n, top = EQB, None, 1
     else:
         dihedral_n = draw(st.sampled_from([3, 5, 7]))
-        modulus = dihedral_n * draw(st.sampled_from([1, 3, 5]))
         mode, top = MGD, draw(st.integers(1, dihedral_n - 1))
     values = draw(st.lists(st.integers(0, top), min_size=1 << n, max_size=1 << n))
     emit = tuple(draw(st.lists(st.sampled_from(EMIT_TARGETS), max_size=4)))
     # a bloch-csv target needs a trace input
     bits = st.text("01", min_size=n, max_size=n)
     return JobSpec(n=n, truth=TruthVector(n, tuple(values)), mode=mode, dihedral_n=dihedral_n,
-                   modulus=modulus, basis=draw(st.sampled_from("XY")),
+                   basis=draw(st.sampled_from("XY")),
                    symmetry=draw(st.booleans()), emit=emit,
                    trace_input=draw(bits if "bloch-csv" in emit else st.none() | bits))
 
@@ -199,6 +194,46 @@ def test_parse_job_any_json_object_gives_job_or_job_error(doc):
 @given(_valid_jobs())
 def test_parse_job_inverts_job_to_mapping(job):
     assert parse_job(json.dumps(job_to_mapping(job))) == job
+
+
+@st.composite
+def _job_spec_arguments(draw):
+    """Typed JobSpec arguments, drawn near their valid sets so that most
+    checks are reached: the truth vector's width usually equals n, and
+    dihedral_n is usually given exactly in MGD mode."""
+    n = draw(st.integers(1, 4))
+    width = n if draw(st.integers(0, 3)) else draw(st.integers(1, 4))
+    lo, hi = draw(st.sampled_from([(0, 1), (0, 1), (0, 2), (0, 2), (-1, 8)]))
+    values = draw(st.lists(st.integers(lo, hi), min_size=1 << width, max_size=1 << width))
+    args = {"n": n, "truth": TruthVector(width, tuple(values))}
+    mode = draw(st.sampled_from([None, EQB, MGD, MGD, "qft"]))
+    if mode is not None:
+        args["mode"] = mode
+    if (draw(st.integers(0, 3)) > 0) == (mode == MGD):
+        args["dihedral_n"] = draw(st.sampled_from([3, 5, 7]) | st.integers(-1, 12))
+    optional = {"basis": st.sampled_from("XYZ"),
+                "symmetry": st.booleans(),
+                "emit": st.lists(st.sampled_from(EMIT_TARGETS + ("png",)), max_size=3).map(tuple),
+                "trace_input": st.text("01", min_size=n, max_size=n) | st.text("01x", max_size=5)}
+    for key, value in optional.items():
+        if draw(st.booleans()):
+            args[key] = draw(value)
+    return args
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_job_spec_arguments())
+@example({"n": 1, "truth": TruthVector(1, (0, 4)), "mode": MGD, "dihedral_n": 3})
+@example({"n": 3, "truth": TruthVector(2, (0, 1, 1, 0))})
+def test_job_spec_rejects_what_parse_job_rejects(args):
+    def outcome(build):
+        try:
+            return build()
+        except JobError as e:
+            return str(e)
+
+    doc = {**args, "truth": list(args["truth"].values)}
+    assert outcome(lambda: JobSpec(**args)) == outcome(lambda: parse_job(json.dumps(doc)))
 
 
 def _flag(key, value) -> list[str]:
@@ -449,7 +484,8 @@ def test_emitted_files_are_byte_identical_across_runs(tmp_path):
 # the current simulators must write the same bytes.  report.json is pinned in
 # its earlier indented layout, so it is hashed re-indented.  The MGD job's
 # circuit.qasm, report.json and trace.csv are pinned later, from the rotation
-# angle 2*pi*w/dihedral_n
+# angle 2*pi*w/dihedral_n, and its report.json once more when the job lost
+# its modulus field
 GOLDEN_EMIT = {
     ("--n", "3", "--truth", "01101001", "--input", "101"): {
         "word.txt": "a3bfa3139c4c160efcd4408ed070a7fa9e7bfc9762a309af9e44f7130f650597",
@@ -472,7 +508,7 @@ GOLDEN_EMIT = {
     ("--n", "3", "--truth", "04213043", "--mode", "mgd", "--dihedral-n", "5", "--input", "010"): {
         "word.txt": "661a7e2496aaff88666ecbdf7b91a802bdba4e3f0b5a2f690cb55538619cc7ff",
         "circuit.qasm": "96d755f1ddf524358950cacff9f985056b0de346bec31f8f19a6bfe123c3aeeb",
-        "report.json": "6b1b206e8848e220c57d0190c48c57e9d3cb4ffafbf62622b8c2e7c6723e9cd0",
+        "report.json": "83982999dbe96e9580c50fe38ce06bb1eec91e8f239b198fbbb9723f661fba8b",
         "trace.csv": "f05eea71a915a77fcfd13a630b9c824ac3f615ecfbf72c7e6841488523636572",
     },
 }
@@ -604,18 +640,17 @@ def test_main_usage_errors_exit_one(capsys):
     assert main(["synth", "--n", "2", "--truth", "011"]) == 1
     assert "expected 4 entries" in capsys.readouterr().err
     assert main(["synth", "/no/such/job.json"]) == 1
-    for flags in (["--n", "3", "--truth", "01201021", "--modulus", "5"],
-                  ["--n", "2", "--truth", "0340"]):
-        assert main(["synth", *flags, "--mode", "mgd", "--dihedral-n", "3"]) == 1
-        assert "qcascade: error: field" in capsys.readouterr().err
+    assert main(["synth", "--n", "2", "--truth", "0340", "--mode", "mgd", "--dihedral-n", "3"]) == 1
+    assert "qcascade: error: field" in capsys.readouterr().err
     assert main(["synth", "--n", "1", "--truth", "03", "--mode", "mgd", "--dihedral-n", "3"]) == 1
     assert ("qcascade: error: field 'truth': MGD values must lie in 0..2 (found 3 at row 1)\n"
             == capsys.readouterr().err)
-    with pytest.raises(SystemExit) as info:
-        main(["synth", "--n", "2", "--truth", "0110", "--mode", "mgd", "--dihedral-n", "3",
-              "--levels", "3"])
-    assert info.value.code == 1
-    assert "unrecognized arguments: --levels" in capsys.readouterr().err
+    for flag in ("--levels", "--modulus"):
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "--n", "2", "--truth", "0110", "--mode", "mgd", "--dihedral-n", "3",
+                  flag, "3"])
+        assert info.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         main(["bogus-command"])
     assert info.value.code == 1
@@ -709,7 +744,6 @@ _FLAG_VALUES = {
     "--mode": st.sampled_from(["eqb", "mgd", "qft"]),
     "--basis": st.sampled_from(["x", "Y", "z"]),
     "--dihedral-n": st.sampled_from(["3", "4", "5", "7", "-3", "x"]),
-    "--modulus": st.sampled_from(["3", "5", "6", "9", "15"]),
     "--emit": st.sampled_from(["word", "json", "qasm,json", "bloch-csv", "png", ""]),
     "--input": st.text("012", max_size=5),
     "--no-symmetry": st.none(),

@@ -16,6 +16,14 @@ def test_truth_vector_validation():
         TruthVector(-1, ())
 
 
+def test_truth_vector_takes_integers_only():
+    t = TruthVector(1, (np.int64(1), np.uint8(0)))
+    assert t.values == (1, 0) and all(type(v) is int for v in t.values)
+    for bad in (0.9, 1.0, "1", Fraction(1)):
+        with pytest.raises(TypeError):
+            TruthVector(1, (0, bad))
+
+
 def test_truth_vector_from_bits():
     t = TruthVector.from_bits("0110")
     assert t.n == 2

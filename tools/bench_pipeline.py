@@ -2,7 +2,8 @@
 
 Each size runs full EQB synthesis (both checks, symmetry reduction off,
 ``allow_large``) on one random truth table per seed: one untimed warm-up
-run, then several timed runs (one at n >= 12, where a run takes seconds).
+run, then several timed runs (three at n >= 12, where a run takes up to
+seconds: a single run there swings wider than most changes it should show).
 It records the median of each stage of ``SynthesisReport.timings``, of
 their sum, and of the time ``emit`` takes to write the run's report.json
 (``emit_json_s``).  The truth table for seed s is drawn as in acceptance
@@ -35,7 +36,7 @@ SEEDS = (8, 9, 10)
 
 def repeats(n: int) -> int:
     """Timed runs per truth table."""
-    return 20 if n <= 8 else 5 if n <= 10 else 1
+    return 20 if n <= 8 else 5 if n <= 10 else 3
 
 
 def bench_size(n: int) -> dict:
