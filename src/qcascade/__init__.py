@@ -11,9 +11,9 @@ from .cascade import (VerificationReport, VerificationRow, canonical_cascade,
 from .cli import (JobError, JobSpec, PipelineError, SynthesisReport, emit,
                   parse_job, run_pipeline)
 from .dihedral import DihedralParams, GroupElement, evaluate_word, format_element
-from .quantum import (BlochPoint, Gate, InteractionGraph, QCircuit, bloch_trace,
-                      bloch_trace_csv, interaction_graph, map_to_circuit,
-                      rotation_matrix, to_qasm, verify_quantum)
+from .quantum import (BlochPoint, Gate, QCircuit, bloch_trace, bloch_trace_csv,
+                      interaction_graph, map_to_circuit, rotation_matrix, to_qasm,
+                      verify_quantum)
 from .spectral import (TruthVector, WalshSpectrum, fwht, modinv, spectrum_exact,
                        spectrum_mod)
 from .words import EQB, MGD, CascadeWord, Refl, Rot
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EQB", "MGD",
     "BlochPoint", "CascadeWord", "DihedralParams", "Gate", "GroupElement",
-    "InteractionGraph", "JobError", "JobSpec", "PipelineError", "QCircuit",
+    "JobError", "JobSpec", "PipelineError", "QCircuit",
     "Refl", "Rot", "SynthesisReport", "TruthVector",
     "VerificationReport", "VerificationRow", "WalshSpectrum",
     "bloch_trace", "bloch_trace_csv",

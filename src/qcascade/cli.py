@@ -12,15 +12,15 @@ from pathlib import Path
 from .cascade import (VerificationReport, VerificationRow, canonical_cascade, detect_symmetry,
                       reduce_by_symmetry, simplify, verify_classical)
 from .dihedral import DihedralParams
-from .quantum import (CZ, Gate, InteractionGraph, QCircuit, angle_text, bloch_trace_csv,
-                      interaction_graph, map_to_circuit, to_qasm, verify_quantum)
+from .quantum import (CZ, Gate, QCircuit, angle_text, bloch_trace_csv, interaction_graph,
+                      map_to_circuit, to_qasm, verify_quantum)
 from .spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from .words import EQB, MGD, CascadeWord
 
 MAX_VARS_DEFAULT = 10
 # bounds the trial-division primality test of dihedral_n to ~46k divisions
 MAX_DIHEDRAL_N = 2**31 - 1
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 # emit target -> (file name, the file's text for a report)
 _ARTIFACTS = {
     "word": ("word.txt", lambda r: str(r.word) + "\n"),
@@ -43,8 +43,9 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """A synthesis job.  Construction checks every value, as ``parse_job``
-    does for a JSON document (bar the ``--force-large`` size limit)."""
+    """A synthesis job.  Construction checks every type and value, as
+    ``parse_job`` does for a JSON document (bar the ``--force-large`` size
+    limit), and stores ``emit`` as a tuple."""
 
     n: int
     truth: TruthVector
@@ -57,6 +58,19 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         n, d, bits = self.n, self.dihedral_n, self.trace_input
+        if not _is_int(n):
+            raise _type_error("n", "an integer", n)
+        if not isinstance(self.truth, TruthVector):
+            raise _type_error("truth", "a TruthVector", self.truth)
+        if d is not None and not _is_int(d):
+            raise _type_error("dihedral_n", "an integer", d)
+        if not isinstance(self.symmetry, bool):
+            raise _type_error("symmetry", "true or false", self.symmetry)
+        if not isinstance(self.emit, (list, tuple)):
+            raise JobError("field 'emit': expected a list of targets")
+        object.__setattr__(self, "emit", tuple(self.emit))
+        if bits is not None and not isinstance(bits, str):
+            raise _type_error("trace_input", "a bit string", bits)
         if n < 1:
             raise JobError(f"field 'n': at least one input variable required, got {n}")
         if self.truth.n != n:
@@ -78,14 +92,9 @@ class JobSpec:
             raise JobError(f"field 'truth': {rule} (found {self.truth.values[bad[0]]} at row {bad[0]})")
         if self.basis not in ("X", "Y"):
             raise JobError(f"field 'basis': expected 'X' or 'Y', got {self.basis!r}")
-        bad_targets = [t for t in self.emit if t not in EMIT_TARGETS]
-        if bad_targets:
-            raise JobError(f"field 'emit': unknown target(s) {', '.join(bad_targets)} "
-                           f"(valid: {', '.join(EMIT_TARGETS)})")
+        _check_targets(self.emit, bits)
         if bits is not None and (len(bits) != n or any(c not in "01" for c in bits)):
             raise JobError(f"field 'trace_input': expected {n} bits, got {bits!r}")
-        if bits is None and "bloch-csv" in self.emit:
-            raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
 
 
 _JOB_FIELDS = tuple(f.name for f in fields(JobSpec))
@@ -102,11 +111,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _field_int(doc: dict, key: str):
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise JobError(f"field '{key}': expected an integer, got {value!r}")
-    return value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _type_error(key: str, expected: str, value) -> JobError:
+    return JobError(f"field '{key}': expected {expected}, got {value!r}")
+
+
+def _check_targets(targets, trace_input: str | None) -> None:
+    """Reject unknown targets, and ``bloch-csv`` without a trace input.
+    ``JobSpec`` checks its own targets with it, ``emit`` the ones it is given."""
+    bad = [t for t in targets if t not in EMIT_TARGETS]
+    if bad:
+        raise JobError(f"field 'emit': unknown target(s) {', '.join(map(str, bad))} "
+                       f"(valid: {', '.join(EMIT_TARGETS)})")
+    if trace_input is None and "bloch-csv" in targets:
+        raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
 
 
 def _entries_error(n: int, got: int) -> JobError:
@@ -122,7 +143,7 @@ def _parse_truth(doc: dict, n: int) -> TruthVector:
             raise JobError("field 'truth': expected a digit string or a list of integers")
         values = tuple(int(c) for c in raw)
     elif isinstance(raw, list):
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in raw):
+        if not all(map(_is_int, raw)):
             raise JobError("field 'truth': list entries must be integers")
         values = tuple(raw)
     else:
@@ -134,7 +155,8 @@ def _parse_truth(doc: dict, n: int) -> TruthVector:
 
 
 def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
-    # field names, JSON types and the size limit; JobSpec checks the values
+    # field names, the size limit and what building the truth vector needs;
+    # JobSpec checks every other type and value
     unknown = sorted(set(doc).difference(_JOB_FIELDS))
     if unknown:
         raise JobError(f"unknown field(s): {', '.join(unknown)}")
@@ -143,30 +165,20 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
         if key not in doc:
             raise JobError(f"field '{key}': required")
 
-    n = _field_int(doc, "n")
+    n = doc["n"]
+    if not _is_int(n):
+        raise _type_error("n", "an integer", n)
     if n > MAX_VARS_DEFAULT and not allow_large:
         raise JobError(f"field 'n': {n} exceeds the default limit of {MAX_VARS_DEFAULT} "
                        "(pass --force-large to override)")
     truth = _parse_truth(doc, n)
-    dihedral_n = _field_int(doc, "dihedral_n") if "dihedral_n" in doc else None
-
-    symmetry = doc.get("symmetry", True)
-    if not isinstance(symmetry, bool):
-        raise JobError(f"field 'symmetry': expected true or false, got {symmetry!r}")
-
-    emit_raw = doc.get("emit", [])
+    emit_raw = doc.get("emit", ())
     if isinstance(emit_raw, str):
         emit_raw = [t for t in emit_raw.split(",") if t]
-    if not isinstance(emit_raw, list):
-        raise JobError("field 'emit': expected a list of targets")
-
-    trace_input = doc.get("trace_input")
-    if trace_input is not None and not isinstance(trace_input, str):
-        raise JobError(f"field 'trace_input': expected a bit string, got {trace_input!r}")
-
-    return JobSpec(n=n, truth=truth, mode=str(doc.get("mode", EQB)).lower(), dihedral_n=dihedral_n,
-                   basis=str(doc.get("basis", "X")).upper(), symmetry=symmetry,
-                   emit=tuple(str(t) for t in emit_raw), trace_input=trace_input)
+    return JobSpec(n=n, truth=truth, mode=str(doc.get("mode", EQB)).lower(),
+                   dihedral_n=doc.get("dihedral_n"), basis=str(doc.get("basis", "X")).upper(),
+                   symmetry=doc.get("symmetry", True), emit=emit_raw,
+                   trace_input=doc.get("trace_input"))
 
 
 def _load_object(text: str) -> dict:
@@ -203,7 +215,7 @@ class SynthesisReport:
     circuit: QCircuit
     classical: VerificationReport
     quantum: VerificationReport | None
-    connectivity: InteractionGraph
+    connectivity: tuple[tuple[int, int], ...]
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -288,8 +300,7 @@ def report_to_mapping(report: SynthesisReport) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "job": job_to_mapping(report.job),
-        "spectrum": {"coefficients": [str(c) for c in report.spectrum.coeffs],
-                     "modulus": report.spectrum.modulus},
+        "spectrum": {"coefficients": [str(c) for c in report.spectrum.coeffs]},
         "words": {"canonical": str(report.canonical),
                   "simplified": simplified,
                   "reduced": reduced,
@@ -305,10 +316,7 @@ def report_to_mapping(report: SynthesisReport) -> dict:
                     "gate_counts": report.circuit.gate_counts()},
         "verification": {"classical": _verification_dict(report.classical, report.job.truth.n),
                          "quantum": _verification_dict(report.quantum, report.job.truth.n)},
-        "connectivity": {"edges": [list(e) for e in report.connectivity.edges],
-                         "is_star": report.connectivity.is_star,
-                         "triangle_free": report.connectivity.triangle_free,
-                         "centers": list(report.connectivity.centers)},
+        "connectivity": {"edges": [list(e) for e in report.connectivity]},
         "passed": report.passed,
     }
 
@@ -316,11 +324,7 @@ def report_to_mapping(report: SynthesisReport) -> dict:
 def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
     """Write the requested artifacts; returns target -> path.  Every target
     is checked before ``out_dir`` is created or a file written."""
-    for target in targets:
-        if target not in _ARTIFACTS:
-            raise JobError(f"unknown emit target {target!r}")
-    if "bloch-csv" in targets and report.job.trace_input is None:
-        raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
+    _check_targets(targets, report.job.trace_input)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -356,9 +360,7 @@ def print_report(report: SynthesisReport) -> None:
             if rep.first_failure is not None:
                 line += f"; first failure {_row_text(rep.first_failure)}"
             print(line)
-    g = report.connectivity
-    print(f"connectivity: {len(g.edges)} edge(s), star={'yes' if g.is_star else 'no'}, "
-          f"triangle-free={'yes' if g.triangle_free else 'no'}")
+    print(f"connectivity: {len(report.connectivity)} edge(s)")
     total = sum(report.timings.values())
     stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in report.timings.items())
     print(f"timing: total {total * 1e3:.2f} ms ({stages})")

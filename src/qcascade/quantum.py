@@ -304,26 +304,12 @@ def bloch_trace_csv(circuit: QCircuit, assignment) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Undirected two-qubit coupling graph of a circuit.  A ``QCircuit`` is
-    a star, so ``is_star`` and ``triangle_free`` are always true."""
-
-    edges: tuple[tuple[int, int], ...]
-    is_star: bool
-    triangle_free: bool
-    centers: tuple[int, ...]
-
-
-def interaction_graph(circuit: QCircuit) -> InteractionGraph:
-    """One edge per distinct CZ control, joining it to the target.  The
-    centres are the target for two or more edges, both ends of a single
-    edge, and none without edges."""
+def interaction_graph(circuit: QCircuit) -> tuple[tuple[int, int], ...]:
+    """The coupling edges of the star, sorted: one ``(low, high)`` qubit
+    pair per distinct CZ control, joining it to the target."""
     target = circuit.target_qubit
     controls = {g.control for g in circuit.gates} - {None}
-    edges = tuple(sorted((min(c, target), max(c, target)) for c in controls))
-    centers = edges[0] if len(edges) == 1 else (target,) if edges else ()
-    return InteractionGraph(edges, True, True, centers)
+    return tuple(sorted((min(c, target), max(c, target)) for c in controls))
 
 
 def angle_text(gate: Gate) -> str:

@@ -74,10 +74,6 @@ class CascadeWord:
     params: "DihedralParams | None" = None
     target_var: int | None = None
 
-    @property
-    def mode(self) -> str:
-        return EQB if self.params is None else MGD
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
         if self.n_vars < 0:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from qcascade.dihedral import GroupElement
-from qcascade.words import MGD, Rot
+from qcascade.words import Rot
 
 
 def fold_row(word, bits):
@@ -22,9 +22,9 @@ def fold_row(word, bits):
             acc += -letter.exponent if refl else letter.exponent
         elif sum(bits[v - 1] for v in letter.controls) % 2:
             refl = not refl
-    if word.mode == MGD:
-        return GroupElement(int(acc) % word.params.n, refl)
-    return acc, refl
+    if word.params is None:
+        return acc, refl
+    return GroupElement(int(acc) % word.params.n, refl)
 
 
 def fold_rows(word) -> list:

@@ -8,7 +8,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -178,18 +177,16 @@ def test_criterion_6_symmetry_reduction_saves_a_qubit_and_gates():
             f"{checked} functions" + (f", first failure {failures[0]}" if failures else ""))
 
 
-def _star_offenders(circuits, graph_of):
-    """Labels of the circuits whose graph, from ``graph_of``, is not a star
-    on the target or does not have one edge per CZ in the gate list."""
+def _star_offenders(circuits, edges_of):
+    """Labels of the circuits whose edges, from ``edges_of``, do not all hold
+    the target or are not one edge per CZ in the gate list."""
     bad = []
     for label, circuit in circuits:
-        graph = graph_of(circuit)
+        edges = edges_of(circuit)
         target = circuit.target_qubit
-        centered = not graph.edges or target in graph.centers
-        on_target = all(target in e and e[0] != e[1] for e in graph.edges)
+        on_target = all(target in e and e[0] != e[1] for e in edges)
         cz_edges = {tuple(sorted((g.control, g.target))) for g in circuit.gates if g.kind == "CZ"}
-        if not (graph.is_star and graph.triangle_free and centered and on_target
-                and set(graph.edges) == cz_edges):
+        if not (on_target and set(edges) == cz_edges):
             bad.append(label)
     return bad
 
@@ -212,10 +209,8 @@ def test_criterion_7_catches_an_edge_off_the_target():
     circuit = _eqb_circuit(TruthVector(3, (0, 1, 1, 0, 1, 0, 0, 1)))[1]
 
     def moved(circuit):
-        graph = interaction_graph(circuit)
-        (a, b), *rest = graph.edges
-        off = (min(a, b) + 1, max(a, b) + 1)  # neither end is the target q[0]
-        return replace(graph, edges=(off, *rest))
+        (a, b), *rest = interaction_graph(circuit)
+        return ((min(a, b) + 1, max(a, b) + 1), *rest)  # neither end is the target q[0]
 
     assert _star_offenders([("xor3", circuit)], interaction_graph) == []
     assert _star_offenders([("xor3", circuit)], moved) == ["xor3"]

@@ -33,7 +33,6 @@ def test_canonical_form_n2():
                             Rot(0), Refl({2}), Refl({1}),
                             Rot(0), Refl({2}),
                             Rot(1), Refl({2}), Refl({1}))
-    assert word.mode == MGD
     assert word.params == D3
 
 

@@ -83,6 +83,8 @@ def test_parse_job_accepts_large_n_only_when_forced():
     ('{"n": 2, "truth": "0110", "mode": "mgd"}', "'dihedral_n': required"),
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 4}', "odd prime"),
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 2}', "odd prime"),
+    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3.0}',
+     "'dihedral_n': expected an integer, got 3.0"),
     # a prime near 2**61: the cap answers before any trial division
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 2305843009213693951}',
      "at most 2147483647"),
@@ -122,6 +124,12 @@ def test_parse_job_diagnostics(text, needle):
 def test_job_spec_rejects_fields_its_mode_contradicts(fields_, needle):
     with pytest.raises(JobError, match=needle):
         JobSpec(n=2, truth=TruthVector(2, (0, 1, 1, 0)), **fields_)
+
+
+def test_job_spec_takes_a_truth_vector_only():
+    for truth in ("0110", [0, 1, 1, 0]):
+        with pytest.raises(JobError, match="field 'truth': expected a TruthVector, got "):
+            JobSpec(n=2, truth=truth)
 
 
 def test_job_round_trips_through_mapping():
@@ -198,23 +206,29 @@ def test_parse_job_inverts_job_to_mapping(job):
 
 @st.composite
 def _job_spec_arguments(draw):
-    """Typed JobSpec arguments, drawn near their valid sets so that most
-    checks are reached: the truth vector's width usually equals n, and
-    dihedral_n is usually given exactly in MGD mode."""
+    """JobSpec arguments, drawn near their valid sets so that most checks
+    are reached: the truth vector's width usually equals n, dihedral_n is
+    usually given exactly in MGD mode, and a scalar field now and then holds
+    a JSON value of the wrong type."""
     n = draw(st.integers(1, 4))
     width = n if draw(st.integers(0, 3)) else draw(st.integers(1, 4))
     lo, hi = draw(st.sampled_from([(0, 1), (0, 1), (0, 2), (0, 2), (-1, 8)]))
     values = draw(st.lists(st.integers(lo, hi), min_size=1 << width, max_size=1 << width))
     args = {"n": n, "truth": TruthVector(width, tuple(values))}
+    if not draw(st.integers(0, 7)):
+        args["n"] = draw(st.sampled_from([float(n), n == 1]))
     mode = draw(st.sampled_from([None, EQB, MGD, MGD, "qft"]))
     if mode is not None:
         args["mode"] = mode
     if (draw(st.integers(0, 3)) > 0) == (mode == MGD):
-        args["dihedral_n"] = draw(st.sampled_from([3, 5, 7]) | st.integers(-1, 12))
+        args["dihedral_n"] = draw(st.sampled_from([3, 5, 7]) | st.integers(-1, 12)
+                                  | st.sampled_from([3.0, 5.0, True]))
+    targets = st.lists(st.sampled_from(EMIT_TARGETS + ("png",)), max_size=3)
     optional = {"basis": st.sampled_from("XYZ"),
-                "symmetry": st.booleans(),
-                "emit": st.lists(st.sampled_from(EMIT_TARGETS + ("png",)), max_size=3).map(tuple),
-                "trace_input": st.text("01", min_size=n, max_size=n) | st.text("01x", max_size=5)}
+                "symmetry": st.booleans() | st.integers(0, 1) | st.sampled_from(["no", ""]),
+                "emit": targets | targets.map(tuple),
+                "trace_input": st.text("01", min_size=n, max_size=n) | st.text("01x", max_size=5)
+                | st.integers(0, 11)}
     for key, value in optional.items():
         if draw(st.booleans()):
             args[key] = draw(value)
@@ -225,6 +239,12 @@ def _job_spec_arguments(draw):
 @given(_job_spec_arguments())
 @example({"n": 1, "truth": TruthVector(1, (0, 4)), "mode": MGD, "dihedral_n": 3})
 @example({"n": 3, "truth": TruthVector(2, (0, 1, 1, 0))})
+@example({"n": 2.0, "truth": TruthVector(2, (0, 1, 1, 0))})
+@example({"n": True, "truth": TruthVector(1, (0, 1))})
+@example({"n": 2, "truth": TruthVector(2, (0, 1, 1, 0)), "symmetry": "no"})
+@example({"n": 2, "truth": TruthVector(2, (0, 1, 1, 0)), "mode": MGD, "dihedral_n": 3.0})
+@example({"n": 2, "truth": TruthVector(2, (0, 1, 1, 0)), "trace_input": 10})
+@example({"n": 2, "truth": TruthVector(2, (0, 1, 1, 0)), "emit": ["word"]})
 def test_job_spec_rejects_what_parse_job_rejects(args):
     def outcome(build):
         try:
@@ -289,7 +309,7 @@ def test_run_pipeline_xor_reduces_and_passes():
     assert str(report.word) == "a^1/2 g[x1] a^-1/2 g[x1]"
     assert report.circuit.num_qubits == 2
     assert report.quantum is not None and report.quantum.passed
-    assert report.connectivity.is_star and report.connectivity.triangle_free
+    assert report.connectivity == ((0, 1),)
     assert report.timings and all(t >= 0 for t in report.timings.values())
 
 
@@ -339,8 +359,7 @@ def test_run_pipeline_passes_every_small_function():
     for doc in _small_function_jobs():
         report = run_pipeline(parse_job(json.dumps(doc)))
         assert report.passed, doc
-        graph = report.connectivity
-        assert not graph.edges or report.circuit.target_qubit in graph.centers, doc
+        assert all(report.circuit.target_qubit in e for e in report.connectivity), doc
         counts[report.job.mode] += 1
     assert counts == {EQB: 552, MGD: 740}
 
@@ -360,18 +379,16 @@ def test_pipeline_error_carries_stage(monkeypatch):
 def test_report_mapping_is_deterministic_and_versioned():
     report = run_pipeline(parse_job(XOR_JOB))
     doc = report_to_mapping(report)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert "timings" not in doc
     assert doc["passed"] is True
-    assert doc["spectrum"] == {"coefficients": ["1/2", "0", "0", "-1/2"], "modulus": None}
+    assert doc["spectrum"] == {"coefficients": ["1/2", "0", "0", "-1/2"]}
     assert doc["words"]["final"] == "a^1/2 g[x1] a^-1/2 g[x1]"
     assert doc["words"]["target"] == "x2"
     assert doc["circuit"]["layout"] == {"x1": 0, "x2": 1}
     assert doc["circuit"]["gates"][0] == {"kind": "RX", "target": 1,
                                           "angle": "pi/2", "radians": math.pi / 2}
-    # a one-edge star is centered at either endpoint
-    assert doc["connectivity"] == {"edges": [[0, 1]], "is_star": True,
-                                   "triangle_free": True, "centers": [0, 1]}
+    assert doc["connectivity"] == {"edges": [[0, 1]]}
     assert doc["verification"]["quantum"]["passed"] is True
     assert doc == report_to_mapping(run_pipeline(parse_job(XOR_JOB)))
 
@@ -406,7 +423,7 @@ def test_emit_writes_requested_files(tmp_path):
     assert qasm.startswith("OPENQASM 2.0;\n")
     assert "rx(pi/2) q[1];" in qasm
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     rows = (tmp_path / "trace.csv").read_text().splitlines()
     assert rows[0] == "step,gate,theta,phi"
     last = rows[-1].split(",")
@@ -420,11 +437,16 @@ def test_emit_bloch_requires_trace_input(tmp_path):
 
 
 def test_emit_checks_every_target_before_writing(tmp_path):
+    """emit applies JobSpec's emit rules, with JobSpec's messages, before it
+    creates the directory."""
     report = run_pipeline(parse_job(XOR_JOB))
     out_dir = tmp_path / "out"
-    for targets, needle in ((["word", "bloch-csv"], "trace_input"), (["word", "png"], "'png'")):
-        with pytest.raises(JobError, match=needle):
+    for targets in (["png"], ["word", "png"], ["word", "bloch-csv"]):
+        with pytest.raises(JobError) as from_spec:
+            JobSpec(n=2, truth=report.job.truth, emit=targets)
+        with pytest.raises(JobError) as from_emit:
             emit(report, targets, out_dir)
+        assert str(from_emit.value) == str(from_spec.value)
         assert not out_dir.exists()
 
 
@@ -485,30 +507,33 @@ def test_emitted_files_are_byte_identical_across_runs(tmp_path):
 # its earlier indented layout, so it is hashed re-indented.  The MGD job's
 # circuit.qasm, report.json and trace.csv are pinned later, from the rotation
 # angle 2*pi*w/dihedral_n, and its report.json once more when the job lost
-# its modulus field
+# its modulus field.  All four report.json hashes are pinned again for
+# schema_version 2, which drops the fields other fields fix: connectivity's
+# is_star, triangle_free and centers (every QCircuit is a star on its
+# target) and spectrum.modulus (job.dihedral_n); no other byte moved
 GOLDEN_EMIT = {
     ("--n", "3", "--truth", "01101001", "--input", "101"): {
         "word.txt": "a3bfa3139c4c160efcd4408ed070a7fa9e7bfc9762a309af9e44f7130f650597",
         "circuit.qasm": "d6eecabda42d20df169dce58ce489987ca2cf9bd5ecc0f3f7deebcbf4383dcee",
-        "report.json": "fabbf5464c3dddcd51cd2f548f844414c6a1b22c1ef4d9837e618bf10616b88e",
+        "report.json": "272a251b34c734c5a5b915e2f42772f5ff2d97385d56149a1566ac6241d317d5",
         "trace.csv": "3c79aa13d3a81a1ee59902903197fd3ea1482025e8eb00ba33eb5b03c04352ee",
     },
     ("--n", "4", "--truth", "0110100110010110", "--basis", "y", "--input", "0111"): {
         "word.txt": "59dca8fed53a95f945abccdd9b3cf0becf38f9574457f8f945dba52f8ab9c4e8",
         "circuit.qasm": "80f3c61153663c273baac678c0ead4ca02fcdc9bbf2e07bad71d9f17dc591106",
-        "report.json": "86555f60cb5247d6b6a4c046f7b53ff3af61e20471d8556f82b641d9e5795fb6",
+        "report.json": "f3871c500ae257a919a337b7c70e1fe8763a531ca012af381e69bdb9481f9013",
         "trace.csv": "eed6c37878a19936753ad4183ecf83980939b73ec01ee16fdde6fd5c4098b6fb",
     },
     ("--n", "4", "--truth", "0111010011101000", "--input", "1100"): {
         "word.txt": "f72ebb4e8b2fed64bcfc145d25a8741bb50e28484c2aa98cf551030148495b83",
         "circuit.qasm": "78f3b4fa7bbb3cb1aea578e4b1901089f644bf5fa54f0a179bc01c45dc2b1af9",
-        "report.json": "56a3d63d8a481942e23dd49aac414f533d568c7a3e4bec4ebee4db91de3019c2",
+        "report.json": "f337e7561056e097b98515321310709dd239bf6a410661721fb80e96532bdf75",
         "trace.csv": "2043bf5e9436b3b31fe6ea0af2fdf40e53f9ef0e9bc73d652d1dced76cc075f4",
     },
     ("--n", "3", "--truth", "04213043", "--mode", "mgd", "--dihedral-n", "5", "--input", "010"): {
         "word.txt": "661a7e2496aaff88666ecbdf7b91a802bdba4e3f0b5a2f690cb55538619cc7ff",
         "circuit.qasm": "96d755f1ddf524358950cacff9f985056b0de346bec31f8f19a6bfe123c3aeeb",
-        "report.json": "83982999dbe96e9580c50fe38ce06bb1eec91e8f239b198fbbb9723f661fba8b",
+        "report.json": "10512a0168d3a50ee392d953955594c96ca98c36be299674ce71af077d02c17d",
         "trace.csv": "f05eea71a915a77fcfd13a630b9c824ac3f615ecfbf72c7e6841488523636572",
     },
 }

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qcascade.dihedral import DihedralParams, GroupElement, evaluate_word, format_element
-from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
+from qcascade.words import CascadeWord, Refl, Rot
 from reference_groups import (IDENTITY, RailPermutation, all_elements, element, inv, mul,
                               to_permutation)
 
@@ -169,8 +169,8 @@ def test_word_params_decide_the_group():
     third = Rot(Fraction(1, 3))
     with pytest.raises(TypeError, match="MGD exponents must be integers"):
         CascadeWord(1, (third,), params=D3)
-    assert CascadeWord(1, (Rot(1),), params=D3).mode == MGD
-    assert CascadeWord(1, (third,)).mode == EQB
+    assert CascadeWord(1, (Rot(1),), params=D3).params is D3
+    assert CascadeWord(1, (third,)).params is None
 
 
 def test_word_rejects_control_beyond_n_vars():
