@@ -10,9 +10,10 @@ every assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .dihedral import DihedralParams, GroupElement, evaluate_word, format_element
-from .spectral import TruthVector, WalshSpectrum, spectrum_exact
+from .spectral import TruthVector, WalshSpectrum, _signed_mod, spectrum_exact
 from .words import CascadeWord, Letter, Refl, Rot
 
 
@@ -26,10 +27,13 @@ def canonical_cascade(spectrum: WalshSpectrum, params: DihedralParams | None = N
     # one object per distinct letter; the i < n with 2^i dividing k are the
     # first min(v + 1, n), where 2^v = k & -k
     refls = [Refl(frozenset({n - i})) for i in range(n)]
-    rot_of = {c: Rot(c) for c in set(spectrum.coeffs)}
+    # keyed by coefficient object: spectrum_exact shares equal Fractions, so
+    # this hashes none of them
+    distinct = {id(c): c for c in spectrum.coeffs}
+    rot_of = {key: Rot(c) for key, c in distinct.items()}
     letters: list[Letter] = []
     for k, c in enumerate(spectrum.coeffs, 1):
-        letters.append(rot_of[c])
+        letters.append(rot_of[id(c)])
         letters += refls[:min((k & -k).bit_length(), n)]
     return CascadeWord(n, tuple(letters), params)
 
@@ -39,20 +43,28 @@ def simplify(word: CascadeWord) -> CascadeWord:
 
     Rewrites: drop a^0, merge adjacent rotations by adding exponents, merge
     adjacent reflections by XOR of control sets (dropping empty merges).
-    Semantics-preserving and idempotent.  Letters that are not merged keep
-    their objects; each distinct merged letter is built once.
+    Over D_n (``word.params``) every rotation exponent is first reduced to
+    its signed residue in (-n/2, n/2], and a residue of 0 is dropped.
+    Semantics-preserving and idempotent.  Letters that are neither merged
+    nor reduced keep their objects; each distinct new letter is built once.
     """
+    order = None if word.params is None else word.params.n
     # The stack never holds two adjacent letters of the same type, so one
     # pass reaches the rewrite fixed point.
     out: list[Letter] = []
-    merged_of: dict = {}
+    made: dict = {}
     for letter in word.letters:
         top = out[-1] if out else None
         if isinstance(letter, Rot):
+            if order is not None and not -order < 2 * letter.exponent <= order:
+                w = _signed_mod(letter.exponent, order)
+                letter = made.get((Rot, w)) or made.setdefault((Rot, w), Rot(w))
             if letter.exponent == 0:
                 continue
             kind = Rot
             merged = top.exponent + letter.exponent if isinstance(top, Rot) else None
+            if merged is not None and order is not None:
+                merged = _signed_mod(merged, order)
         else:
             kind = Refl
             merged = top.controls ^ letter.controls if isinstance(top, Refl) else None
@@ -62,10 +74,7 @@ def simplify(word: CascadeWord) -> CascadeWord:
         out.pop()
         # a zero sum or an empty XOR drops both letters
         if merged:
-            new = merged_of.get((kind, merged))
-            if new is None:
-                new = merged_of[kind, merged] = kind(merged)
-            out.append(new)
+            out.append(made.get((kind, merged)) or made.setdefault((kind, merged), kind(merged)))
     return replace(word, letters=tuple(out))
 
 
@@ -92,8 +101,9 @@ def reduce_by_symmetry(truth: TruthVector) -> CascadeWord:
     return replace(word, n_vars=truth.n, target_var=truth.n)
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
+    """One checked row; equal to the tuple (assignment, expected, got, ok)."""
+
     assignment: tuple[int, ...]
     expected: str
     got: str
@@ -128,18 +138,21 @@ def verify_classical(word: CascadeWord, truth: TruthVector) -> VerificationRepor
     if word.n_vars != truth.n:
         raise ValueError(f"word has {word.n_vars} variables, truth vector has {truth.n}")
     p, t = word.params, word.target_var
-    results = evaluate_word(word)
-    # evaluate_word shares one object per distinct element: format each once
-    distinct = {id(e): e for e in results}
-    got_text = {key: format_element(e, p) for key, e in distinct.items()}
-    expected = {v: GroupElement(v if p is None else v % p.n) for v in set(truth.values)}
-    want_text = {v: format_element(e, p) for v, e in expected.items()}
     rows = []
-    for bits, want, got in zip(truth.assignments(), truth.values, results):
-        text, ok = got_text[id(got)], t is None and got == expected[want]
-        if t is not None and not got.refl and got.rot in (0, 1):
-            # the retargeted rule: flip input x_t by h(x)
-            out_bit = bits[t - 1] ^ int(got.rot)
-            text, ok = str(out_bit), out_bit == want
-        rows.append(VerificationRow(bits, want_text[want], text, ok))
+    # a row's texts and verdict depend only on its element, F(x) and x_t;
+    # evaluate_word shares one object per distinct element, so judge each
+    # distinct (element object, F(x), x_t) once
+    verdict: dict = {}
+    for bits, want, got in zip(truth.assignments(), truth.values, evaluate_word(word)):
+        key = id(got), want, bits[t - 1] if t else None
+        row = verdict.get(key)
+        if row is None:
+            expected = GroupElement(want if p is None else want % p.n)
+            text, ok = format_element(got, p), t is None and got == expected
+            if t is not None and not got.refl and got.rot in (0, 1):
+                # the retargeted rule: flip input x_t by h(x)
+                out_bit = bits[t - 1] ^ int(got.rot)
+                text, ok = str(out_bit), out_bit == want
+            row = verdict[key] = format_element(expected, p), text, ok
+        rows.append(VerificationRow(bits, *row))
     return VerificationReport("classical", tuple(rows))

@@ -69,14 +69,16 @@ def evaluate_word(word: CascadeWord) -> list[GroupElement]:
     reflection on row x is parity(x & M) for the final M.
     """
     n = word.n_vars
-    # integer numerators over the common denominator (1 in D_n)
-    den = math.lcm(*(letter.exponent.denominator for letter in word.letters
-                     if isinstance(letter, Rot)))
+    # integer numerators over the common denominator (1 in D_n), scaled once
+    # per distinct rotation letter
+    rots = {id(letter): letter.exponent for letter in word.letters if isinstance(letter, Rot)}
+    den = math.lcm(*(e.denominator for e in rots.values()))
+    num = {key: e.numerator * (den // e.denominator) for key, e in rots.items()}
     buckets = [0] * (1 << n)
     mask = 0
     for letter in word.letters:
         if isinstance(letter, Rot):
-            buckets[mask] += letter.exponent.numerator * (den // letter.exponent.denominator)
+            buckets[mask] += num[id(letter)]
         else:
             for v in letter.controls:
                 # x1 is the most significant bit of the row index

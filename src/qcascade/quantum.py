@@ -148,21 +148,27 @@ def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
     # exponent 0 is never stored, so every a^0 reaches the check below
     rotations: dict[Fraction | int, Gate] = {}
     czs: dict[int, Gate] = {}
+    run_of: dict[int, list[Gate]] = {}  # the gates of each distinct letter object
     for letter in word.letters:
-        if isinstance(letter, Rot):
-            gate = rotations.get(letter.exponent)
-            if gate is None:
-                if letter.exponent == 0:
-                    raise ValueError("word is not simplified: zero rotation present")
-                gate = rotations[letter.exponent] = Gate(rot_kind, target,
-                                                         pi_frac=letter.exponent * scale)
-            gates.append(gate)
-        else:
-            for v in sorted(letter.controls):
-                gate = czs.get(v)
+        run = run_of.get(id(letter))
+        if run is None:
+            if isinstance(letter, Rot):
+                gate = rotations.get(letter.exponent)
                 if gate is None:
-                    gate = czs[v] = Gate(CZ, target=target, control=qubit_of[v])
-                gates.append(gate)
+                    if letter.exponent == 0:
+                        raise ValueError("word is not simplified: zero rotation present")
+                    gate = rotations[letter.exponent] = Gate(rot_kind, target,
+                                                             pi_frac=letter.exponent * scale)
+                run = [gate]
+            else:
+                run = []
+                for v in sorted(letter.controls):
+                    gate = czs.get(v)
+                    if gate is None:
+                        gate = czs[v] = Gate(CZ, target=target, control=qubit_of[v])
+                    run.append(gate)
+            run_of[id(letter)] = run
+        gates += run
     return QCircuit(num_qubits, tuple(gates), target,
                     layout=tuple(sorted(qubit_of.items())))
 

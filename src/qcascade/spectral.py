@@ -103,12 +103,14 @@ def _signed_mod(v: int, m: int) -> int:
 
 
 def spectrum_exact(truth: TruthVector) -> WalshSpectrum:
-    """Exact EQB spectrum: fwht(F) scaled by 2^-n, as Fractions."""
+    """Exact EQB spectrum: fwht(F) scaled by 2^-n, as Fractions.  Equal
+    coefficients share one Fraction object."""
     if not truth.is_boolean:
         raise ValueError("EQB spectra need a Boolean truth vector")
     scale = 1 << truth.n
-    coeffs = tuple(Fraction(c, scale) for c in fwht(truth.values))
-    return WalshSpectrum(truth.n, coeffs, None)
+    raw = fwht(truth.values)
+    frac = {c: Fraction(c, scale) for c in set(raw)}
+    return WalshSpectrum(truth.n, tuple(map(frac.__getitem__, raw)), None)
 
 
 def spectrum_mod(truth: TruthVector, modulus: int) -> WalshSpectrum:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcascade.cascade import (VerificationRow, canonical_cascade, detect_symmetry,
                               reduce_by_symmetry, simplify, verify_classical)
 from qcascade.dihedral import DihedralParams, GroupElement, evaluate_word, format_element
+from qcascade.quantum import map_to_circuit
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_fold import fold_row, fold_rows
@@ -111,6 +112,28 @@ def test_simplify_cancels_through_dropped_letters():
     word = CascadeWord(2, (Rot(Fraction(1, 2)), Refl({1}), Rot(0), Refl({1}),
                            Rot(Fraction(-1, 2)), Refl({2})))
     assert simplify(word).letters == (Refl({2}),)
+
+
+def test_simplify_reduces_exponents_to_signed_residues_over_dn():
+    # a^1 a^2 = a^3 = I in D_3, so no RX(2 pi) = -I gate is left to emit
+    word = simplify(CascadeWord(1, (Rot(1), Rot(2)), params=D3))
+    assert word.letters == ()
+    assert map_to_circuit(word).gates == ()
+    # a^2 a^2 = a^4 = a^1, and a kept a^4 or a^-2 is a^1: one object for all
+    four = Rot(4)
+    given = CascadeWord(2, (Rot(2), Rot(2), Refl({1}), four, Refl({2}), Rot(-2),
+                            Refl({1}), Rot(3), Refl({2}), four), params=D3)
+    word = simplify(given)
+    assert word.letters == (Rot(1), Refl({1}), Rot(1), Refl({2}), Rot(1), Refl({1, 2}), Rot(1))
+    assert len({id(letter) for letter in word.letters if isinstance(letter, Rot)}) == 1
+    assert evaluate_word(word) == fold_rows(given)
+    # residues keep their objects; over D_5, 3 is -2
+    minus = Rot(-1)
+    assert simplify(CascadeWord(1, (minus,), params=D3)).letters[0] is minus
+    assert simplify(CascadeWord(1, (Rot(3),), params=DihedralParams(5))).letters == (Rot(-2),)
+    # without params exponents never wrap
+    word = CascadeWord(1, (Rot(Fraction(3, 2)), Rot(Fraction(3, 2))))
+    assert simplify(word).letters == (Rot(3),)
 
 
 def test_simplify_idempotent():

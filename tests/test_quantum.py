@@ -13,7 +13,7 @@ from qcascade.dihedral import DihedralParams
 from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, bloch_trace,
                               bloch_trace_csv, interaction_graph, map_to_circuit, rotation_matrix,
                               to_qasm, verify_quantum)
-from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
+from qcascade.spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from qcascade.words import CascadeWord, Refl, Rot
 from reference_statevector import p_one, strict_rows, verify_rows
 
@@ -269,6 +269,44 @@ def test_map_to_circuit_builds_each_distinct_gate_once():
             gates = map_to_circuit(word, basis=basis).gates
             assert gates == _gates_letter_by_letter(word, basis)
             assert len({id(g) for g in gates}) == len(set(gates))
+
+
+def _outputs(word, truth):
+    """What the pipeline makes of a word: its text, its gates' values and
+    both checks' rows."""
+    circuit = map_to_circuit(word)
+    gates = [(g.kind, g.control, g.pi_frac) for g in circuit.gates]
+    rotations = [g for g in circuit.gates if g.kind != CZ]
+    # equal rotations share one Gate, whichever letter objects they came from
+    assert len({id(g) for g in rotations}) == len({g.pi_frac for g in rotations})
+    return (str(word), gates, verify_classical(word, truth).rows,
+            verify_quantum(circuit, truth).rows)
+
+
+def test_identity_keys_never_change_a_result():
+    rng = random.Random(61)
+    for n in range(1, 6):
+        truth = TruthVector(n, [rng.getrandbits(1) for _ in range(1 << n)])
+        shared = spectrum_exact(truth)
+        assert len({id(c) for c in shared.coeffs}) == len(set(shared.coeffs))
+        # equal coefficients as separately built Fractions
+        unshared = WalshSpectrum(n, [Fraction(c.numerator, c.denominator) for c in shared.coeffs])
+        assert len({id(c) for c in unshared.coeffs}) == 1 << n
+        assert unshared == shared
+        words = [simplify(canonical_cascade(s)) for s in (shared, unshared)]
+        assert _outputs(words[0], truth) == _outputs(words[1], truth)
+    # x2 xor h(x1) with h = not x1, retargeted onto x2 (and, failing, on an
+    # ancilla), with one shared a^(1/2) letter and with two equal ones
+    half = Rot(Fraction(1, 2))
+    truth = TruthVector.from_bits("1001")
+    for target in (2, None):
+        shared = CascadeWord(2, (half, Refl({1}), half, Refl({1})), target_var=target)
+        unshared = replace(shared, letters=(Rot(Fraction(1, 2)), Refl({1}),
+                                            Rot(Fraction(1, 2)), Refl({1})))
+        assert _outputs(shared, truth) == _outputs(unshared, truth)
+        assert verify_classical(unshared, truth).passed == (target == 2)
+        gates = map_to_circuit(unshared).gates
+        assert gates[0] is gates[2]
 
 
 def test_verify_quantum_xor_passes():

@@ -33,3 +33,25 @@ def test_perfbench_span_targets_resolve():
         assert callable(getattr(importlib.import_module(modname), attr, None)), f"{modname}.{attr}"
     modname, clsname, attr, _ = spans.WORD_CLASS
     assert attr in vars(getattr(importlib.import_module(modname), clsname))
+
+
+def test_sweep_eqb_passes_every_function_of_two_inputs():
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "sweep_eqb.py"), "--n", "2"],
+                          capture_output=True, text=True, env={"PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("n=2: 16 functions, 0 failures, ")
+
+
+def test_sweep_eqb_reports_each_failure_and_exits_1(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("sweep_eqb", ROOT / "tools" / "sweep_eqb.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+
+    def broken(job):
+        raise sweep.PipelineError("map", ValueError("boom"))
+    monkeypatch.setattr(sweep, "run_pipeline", broken)
+    assert sweep.main(["--n", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [f"FAIL truth={t}: PipelineError: stage 'map': boom"
+                         for t in ("00", "01", "10", "11")]
+    assert lines[4].startswith("n=1: 4 functions, 4 failures, ")
