@@ -25,7 +25,7 @@ REPORT_SCHEMA_VERSION = 2
 _ARTIFACTS = {
     "word": ("word.txt", lambda r: str(r.word) + "\n"),
     "qasm": ("circuit.qasm", lambda r: to_qasm(r.circuit)),
-    "json": ("report.json", lambda r: json.dumps(report_to_mapping(r), sort_keys=True) + "\n"),
+    "json": ("report.json", lambda r: _report_json(r)),
     "bloch-csv": ("trace.csv", lambda r: bloch_trace_csv(r.circuit, r.job.trace_input)),
 }
 EMIT_TARGETS = tuple(_ARTIFACTS)
@@ -319,6 +319,29 @@ def report_to_mapping(report: SynthesisReport) -> dict:
         "connectivity": {"edges": [list(e) for e in report.connectivity]},
         "passed": report.passed,
     }
+
+
+# stands in for circuit.gates while the rest of the report is encoded.  json
+# writes its NUL as \u0000, which no other report string holds: job strings
+# are checked, and words, gates and rows are generated
+_GATES_SLOT = "\0gates"
+
+
+def _report_json(report: SynthesisReport) -> str:
+    """``json.dumps(report_to_mapping(report), sort_keys=True) + "\\n"``,
+    encoding each distinct gate entry once (``report_to_mapping`` shares one
+    entry dict between equal gates)."""
+    mapping = report_to_mapping(report)
+    circuit = mapping["circuit"]
+    gates = circuit["gates"]
+    text_of = {id(e): json.dumps(e, sort_keys=True) for e in {id(e): e for e in gates}.values()}
+    gate_text = "[" + ", ".join(map(text_of.__getitem__, map(id, gates))) + "]"
+    # the mapping is a fresh tree, so no cycle can reach the encoder
+    body = json.dumps({**mapping, "circuit": {**circuit, "gates": _GATES_SLOT}},
+                      sort_keys=True, check_circular=False)
+    # circuit is the first key and gate_counts sorts before gates, so the
+    # first match is the slot
+    return body.replace(json.dumps(_GATES_SLOT), gate_text, 1) + "\n"
 
 
 def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -71,9 +72,14 @@ class Gate:
             raise ValueError(f"{self.kind} takes no control qubit")
         if self.pi_frac is None:
             raise ValueError(f"{self.kind} needs an angle")
-        f = Fraction(self.pi_frac) % 4
-        if f > 2:
-            f -= 4
+        f = self.pi_frac
+        if not isinstance(f, Fraction):
+            f = Fraction(f)
+        # in-range angles, nearly all of them, skip the Fraction arithmetic
+        if not -2 * f.denominator < f.numerator <= 2 * f.denominator:
+            f %= 4
+            if f > 2:
+                f -= 4
         object.__setattr__(self, "pi_frac", f)
         object.__setattr__(self, "angle", float(f) * math.pi)
 
@@ -112,11 +118,8 @@ class QCircuit:
         if RX in kinds and RY in kinds:
             raise ValueError("circuit mixes RX and RY rotations")
 
-    def gate_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in self.gates:
-            counts[g.kind] = counts.get(g.kind, 0) + 1
-        return counts
+    def gate_counts(self) -> Counter[str]:
+        return Counter(map(operator.attrgetter("kind"), self.gates))
 
 
 def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
@@ -132,8 +135,8 @@ def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
     """
     if basis not in ("X", "Y"):
         raise ValueError(f"basis must be 'X' or 'Y', got {basis!r}")
-    # half-turns per unit of rotation exponent
-    scale = 1 if word.params is None else Fraction(2, word.params.n)
+    # half-turns per unit of rotation exponent; EQB exponents are half-turns
+    scale = None if word.params is None else Fraction(2, word.params.n)
     rot_kind = RX if basis == "X" else RY
     n = word.n_vars
     if word.target_var is None:
@@ -157,8 +160,8 @@ def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
                 if gate is None:
                     if letter.exponent == 0:
                         raise ValueError("word is not simplified: zero rotation present")
-                    gate = rotations[letter.exponent] = Gate(rot_kind, target,
-                                                             pi_frac=letter.exponent * scale)
+                    turns = letter.exponent if scale is None else letter.exponent * scale
+                    gate = rotations[letter.exponent] = Gate(rot_kind, target, pi_frac=turns)
                 run = [gate]
             else:
                 run = []

@@ -66,24 +66,22 @@ class WalshSpectrum:
 
 
 def fwht(values: Sequence) -> list:
-    """In-place butterfly transform of a power-of-two-length sequence.
+    """Walsh-Hadamard transform of a power-of-two-length sequence.
 
     Runs in O(len * log len) exact arithmetic (Python ints, or Fractions for
     the rational round-trip).  Entry x of the result is the sum over y of
     (-1)^popcount(x & y) * values[y]: the Walsh-Hadamard matrix times values.
+    Each of the log2(len) passes is the constant-geometry butterfly: the sums
+    of adjacent pairs, then their differences.  Each pass rotates the index
+    bits down by one, so after the last the result is in natural order.
     """
     out = list(values)
     size = len(out)
     if size == 0 or size & (size - 1):
         raise ValueError(f"length must be a power of two, got {size}")
-    half = 1
-    while half < size:
-        for start in range(0, size, 2 * half):
-            for j in range(start, start + half):
-                x, y = out[j], out[j + half]
-                out[j] = x + y
-                out[j + half] = x - y
-        half *= 2
+    for _ in range(size.bit_length() - 1):
+        even, odd = out[0::2], out[1::2]
+        out = [*map(operator.add, even, odd), *map(operator.sub, even, odd)]
     return out
 
 

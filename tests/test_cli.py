@@ -6,7 +6,7 @@ import json
 import math
 import random
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcascade import cli
 from qcascade.cascade import VerificationReport, VerificationRow
 from qcascade.cli import (EMIT_TARGETS, VERBS, JobError, JobSpec, PipelineError, _job_from_args,
                           build_parser, emit, job_to_mapping, main, parse_job, report_to_mapping,
@@ -452,8 +453,9 @@ def test_emit_checks_every_target_before_writing(tmp_path):
 
 def _sweep_jobs():
     """EQB n = 1-6 in both bases, with and without the symmetry reduction
-    (half the truth tables odd in x_n, so that it applies), and MGD over D_3,
-    D_5 and D_7."""
+    (half the truth tables odd in x_n, so that it applies), MGD over D_3,
+    D_5 and D_7 at n = 1-7 (n = 7 is the mgd-wide benchmark's shape), and
+    circuits with no gate and with a single gate."""
     rng = random.Random(404)
     for n in range(1, 7):
         for basis in ("x", "y"):
@@ -465,10 +467,13 @@ def _sweep_jobs():
                     else:
                         truth = "".join(str(rng.getrandbits(1)) for _ in range(1 << n))
                     yield {"n": n, "truth": truth, "basis": basis, "symmetry": symmetry}
-    for n in range(1, 7):
+    for n in range(1, 8):
         for d in (3, 5, 7):
             truth = [rng.randrange(d) for _ in range(1 << n)]
             yield {"n": n, "truth": truth, "mode": "mgd", "dihedral_n": d}
+    yield {"n": 2, "truth": "0000"}
+    yield {"n": 2, "truth": [0, 0, 0, 0], "mode": "mgd", "dihedral_n": 3}
+    yield {"n": 1, "truth": "11"}
 
 
 def _reindented(data: bytes) -> bytes:
@@ -477,8 +482,10 @@ def _reindented(data: bytes) -> bytes:
 
 
 def test_report_json_equals_stdlib_encoding_on_seeded_jobs(tmp_path):
+    gate_counts = set()
     for doc in _sweep_jobs():
         report = run_pipeline(parse_job(json.dumps(doc)))
+        gate_counts.add(len(report.circuit.gates))
         emit(report, ("json",), tmp_path)
         mapping = report_to_mapping(report)
         data = (tmp_path / "report.json").read_bytes()
@@ -490,6 +497,50 @@ def test_report_json_equals_stdlib_encoding_on_seeded_jobs(tmp_path):
                             for row in getattr(report, kind).rows]), doc
         want = json.dumps(mapping, indent=2, sort_keys=True) + "\n"
         assert _reindented(data) == want.encode(), doc
+    assert {0, 1} <= gate_counts
+
+
+def test_report_json_keeps_its_bytes_with_unshared_gates(tmp_path):
+    """A report whose equal gates are separate objects writes the same
+    bytes as the shared one from run_pipeline."""
+    for doc in ({"n": 4, "truth": "0110100110010110"},
+                {"n": 5, "truth": [3, 1, 4, 1, 0, 2, 6, 5, 3, 5, 0, 2, 6, 5, 3, 5,
+                                   1, 4, 1, 0, 2, 6, 5, 3, 5, 4, 4, 2, 0, 1, 6, 6],
+                 "mode": "mgd", "dihedral_n": 7}):
+        shared = run_pipeline(parse_job(json.dumps(doc)))
+        gates = tuple(replace(g) for g in shared.circuit.gates)
+        assert len({id(g) for g in gates}) == len(gates) > len({id(g) for g in shared.circuit.gates})
+        unshared = replace(shared, circuit=replace(shared.circuit, gates=gates))
+        emit(shared, ["json"], tmp_path / "shared")
+        emit(unshared, ["json"], tmp_path / "unshared")
+        data = (tmp_path / "shared" / "report.json").read_bytes()
+        assert (tmp_path / "unshared" / "report.json").read_bytes() == data, doc
+
+
+def test_report_json_encodes_each_distinct_gate_once(tmp_path, monkeypatch):
+    rng = random.Random(7)
+    doc = {"n": 7, "truth": [rng.randrange(5) for _ in range(128)], "mode": "mgd", "dihedral_n": 5}
+    report = run_pipeline(parse_job(json.dumps(doc)))
+    before = report_to_mapping(report)
+    built = []
+    monkeypatch.setattr(cli, "report_to_mapping",
+                        lambda r: built.append(report_to_mapping(r)) or built[-1])
+    encoded = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, **kw):
+        if isinstance(obj, dict) and "kind" in obj:
+            encoded.append(obj)
+        return dumps(obj, **kw)
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    emit(report, ["json"], tmp_path)
+    monkeypatch.undo()
+    distinct = len({id(g) for g in report.circuit.gates})
+    assert len(report.circuit.gates) > distinct > 0
+    assert len(encoded) == distinct
+    # the mapping emit encoded is left as report_to_mapping built it
+    assert built[0] == before == report_to_mapping(report)
+    assert (tmp_path / "report.json").read_text() == dumps(before, sort_keys=True) + "\n"
 
 
 def test_emitted_files_are_byte_identical_across_runs(tmp_path):

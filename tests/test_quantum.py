@@ -98,6 +98,15 @@ def test_gate_normalizes_pi_frac_into_window():
     assert math.isclose(g.angle, -1.5 * math.pi, rel_tol=0, abs_tol=1e-15)
     assert Gate(RX, 0, pi_frac=Fraction(2)).pi_frac == Fraction(2)
     assert Gate(RX, 0, pi_frac=Fraction(-2)).pi_frac == Fraction(2)
+    for x in (-4, -2, 0, 2, 4, 5, -7, 10**20, Fraction(5, 2), Fraction(-7, 2), Fraction(-2),
+              Fraction(2), Fraction(-5, 3), Fraction(13, 7), Fraction(10**20) + Fraction(1, 3),
+              Fraction(-(10**20)) - Fraction(1, 3), Fraction(-1, 10**9)):
+        want = Fraction(x) % 4
+        if want > 2:
+            want -= 4
+        gate = Gate(RY, 0, pi_frac=x)
+        assert type(gate.pi_frac) is Fraction and gate.pi_frac == want, x
+        assert gate.angle == float(want) * math.pi, x
 
 
 def test_gate_validation_errors():

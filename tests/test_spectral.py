@@ -85,6 +85,19 @@ def test_fwht_matches_dense():
             assert fwht(v) == (w @ np.array(v)).tolist()
 
 
+def test_fwht_matches_definition_on_big_ints_and_fractions():
+    # the dense check above runs in int64; these entries do not fit it
+    rng = random.Random(99)
+    for n in range(9):
+        size = 1 << n
+        for v in ([rng.randrange(-2**70, 2**70) for _ in range(size)],
+                  [Fraction(rng.randrange(-99, 100), rng.randrange(1, 50)) for _ in range(size)]):
+            want = [sum(-v[y] if (x & y).bit_count() & 1 else v[y] for y in range(size))
+                    for x in range(size)]
+            assert fwht(v) == want, (n, type(v[0]))
+            assert all(type(c) is type(v[0]) for c in fwht(v))
+
+
 def test_modinv_examples():
     assert modinv(4, 3) == 1
     assert modinv(2, 5) == 3

@@ -9,6 +9,11 @@ their sum, and of the time ``emit`` takes to write the run's report.json
 (``emit_json_s``).  The truth table for seed s is drawn as in acceptance
 criterion 8: ``random.Random(s).getrandbits(1)`` per row, row 0 first.
 
+Each size and seed also runs one MGD job over D_7 the same way, with truth
+values ``rng.randrange(7)`` drawn by the same generator after the EQB table.
+``sizes[n]["mgd"]`` records its runs and the medians of its total and of its
+``emit_json_s``.
+
 Run from the repository root:
 
     PYTHONPATH=src python tools/bench_pipeline.py [--sizes 4 6 8] [--out PATH]
@@ -32,6 +37,7 @@ from qcascade.cli import emit, parse_job, run_pipeline
 
 SIZES = (4, 6, 8, 10, 12, 14)
 SEEDS = (8, 9, 10)
+MGD_ORDER = 7  # dihedral_n of the MGD job, the largest group mgd-wide runs
 
 
 def repeats(n: int) -> int:
@@ -39,34 +45,43 @@ def repeats(n: int) -> int:
     return 20 if n <= 8 else 5 if n <= 10 else 3
 
 
+def _time_runs(job, out_dir: str, samples: dict) -> None:
+    """One untimed warm-up run of ``job``, then ``repeats(job.n)`` timed
+    runs, each followed by a timed report.json, appended to ``samples``."""
+    run_pipeline(job)
+    for _ in range(repeats(job.n)):
+        report = run_pipeline(job)
+        if not report.passed:
+            raise SystemExit(f"n={job.n} mode={job.mode}: verification failed")
+        samples["gates"].add(len(report.circuit.gates))
+        samples["totals"].append(sum(report.timings.values()))
+        for stage, seconds in report.timings.items():
+            samples["stages"].setdefault(stage, []).append(seconds)
+        t0 = time.perf_counter()
+        emit(report, ["json"], out_dir)
+        samples["emits"].append(time.perf_counter() - t0)
+
+
 def bench_size(n: int) -> dict:
-    totals: list[float] = []
-    stages: dict[str, list[float]] = {}
-    emits: list[float] = []
-    gates = set()
+    eqb, mgd = ({"gates": set(), "totals": [], "stages": {}, "emits": []} for _ in range(2))
     with tempfile.TemporaryDirectory() as out_dir:
         for seed in SEEDS:
             rng = random.Random(seed)
             truth = "".join(str(rng.getrandbits(1)) for _ in range(1 << n))
-            job = parse_job(json.dumps({"n": n, "truth": truth, "symmetry": False}),
-                            allow_large=True)
-            run_pipeline(job)  # warm-up, not timed
-            for _ in range(repeats(n)):
-                report = run_pipeline(job)
-                if not report.passed:
-                    raise SystemExit(f"n={n} seed={seed}: verification failed")
-                gates.add(len(report.circuit.gates))
-                totals.append(sum(report.timings.values()))
-                for stage, seconds in report.timings.items():
-                    stages.setdefault(stage, []).append(seconds)
-                t0 = time.perf_counter()
-                emit(report, ["json"], out_dir)
-                emits.append(time.perf_counter() - t0)
-    return {"runs": len(totals),
-            "gates": sorted(gates),
-            "total_s": statistics.median(totals),
-            "stages_s": {stage: statistics.median(v) for stage, v in stages.items()},
-            "emit_json_s": statistics.median(emits)}
+            _time_runs(parse_job(json.dumps({"n": n, "truth": truth, "symmetry": False}),
+                                 allow_large=True), out_dir, eqb)
+            values = [rng.randrange(MGD_ORDER) for _ in range(1 << n)]
+            _time_runs(parse_job(json.dumps({"n": n, "truth": values, "mode": "mgd",
+                                             "dihedral_n": MGD_ORDER}),
+                                 allow_large=True), out_dir, mgd)
+    return {"runs": len(eqb["totals"]),
+            "gates": sorted(eqb["gates"]),
+            "total_s": statistics.median(eqb["totals"]),
+            "stages_s": {stage: statistics.median(v) for stage, v in eqb["stages"].items()},
+            "emit_json_s": statistics.median(eqb["emits"]),
+            "mgd": {"runs": len(mgd["totals"]),
+                    "total_s": statistics.median(mgd["totals"]),
+                    "emit_json_s": statistics.median(mgd["emits"])}}
 
 
 def main(argv=None) -> int:
@@ -82,7 +97,9 @@ def main(argv=None) -> int:
         result["sizes"][str(n)] = row = bench_size(n)
         stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in row["stages_s"].items())
         print(f"n={n}: total {row['total_s'] * 1e3:.2f} ms over {row['runs']} runs ({stages}), "
-              f"emit json {row['emit_json_s'] * 1e3:.2f} ms", file=sys.stderr)
+              f"emit json {row['emit_json_s'] * 1e3:.2f} ms; MGD D_{MGD_ORDER}: total "
+              f"{row['mgd']['total_s'] * 1e3:.2f} ms, emit json "
+              f"{row['mgd']['emit_json_s'] * 1e3:.2f} ms", file=sys.stderr)
     with open(args.out, "w") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
