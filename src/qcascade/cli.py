@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -345,16 +346,31 @@ def _report_json(report: SynthesisReport) -> str:
 
 
 def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
-    """Write the requested artifacts; returns target -> path.  Every target
-    is checked before ``out_dir`` is created or a file written."""
+    """Write the requested artifacts, each distinct target once; returns
+    target -> path.  Every target is checked before ``out_dir`` is created or
+    a file written.
+
+    A file is overwritten in place and cut to its new length at the end,
+    with no fsync.  On ext4, truncating a non-empty file to zero on open
+    and writing it took several times as long as writing it in place (ext4's
+    ``auto_da_alloc`` flushes a file truncated to zero when it is closed)."""
     _check_targets(targets, report.job.trace_input)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-    for target in targets:
+    for target in dict.fromkeys(targets):
         name, text = _ARTIFACTS[target]
         path = written[target] = out_dir / name
-        path.write_text(text(report))
+        # built before the file is opened, so a failing artifact leaves it as it was
+        data = text(report).encode()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     return written
 
 

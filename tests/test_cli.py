@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import tempfile
 from dataclasses import fields, replace
@@ -550,6 +551,102 @@ def test_emitted_files_are_byte_identical_across_runs(tmp_path):
     emit(run_pipeline(parse_job(job_text)), ("word", "qasm", "json"), second)
     for name in ("word.txt", "circuit.qasm", "report.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+OVERWRITE_JOBS = (["--n", "4", "--truth", "0111010011101000", "--input", "1100"],
+                  ["--n", "2", "--truth", "0110", "--input", "10"])
+
+
+def _synth_files(job, out_dir) -> dict[str, bytes]:
+    argv = ["synth", *job, "--emit", "word,qasm,json,bloch-csv", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["short-after-long", "long-after-short"])
+def test_rerun_into_one_out_dir_leaves_each_jobs_own_bytes(order, tmp_path, capsys):
+    """Each file is overwritten in place, so a shorter file must be cut to
+    its own length: no tail of the longer one may survive."""
+    shared = tmp_path / "shared"
+    for i in order:
+        assert _synth_files(OVERWRITE_JOBS[i], shared) == _synth_files(OVERWRITE_JOBS[i],
+                                                                       tmp_path / f"fresh{i}")
+
+
+def _record_opens(monkeypatch, out_dir) -> list[tuple[str, object]]:
+    """Patches os.open and io.open; records (file name, flags or mode) of each
+    open of a path inside ``out_dir``."""
+    opens = []
+    real_os_open, real_io_open = os.open, io.open
+
+    def os_open(path, flags, *args, **kwargs):
+        if Path(path).parent == out_dir:
+            opens.append((Path(path).name, flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def io_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == out_dir:
+            opens.append((Path(file).name, mode))
+        return real_io_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(io, "open", io_open)
+    monkeypatch.setattr("builtins.open", io_open)
+    return opens
+
+
+def test_emit_overwrites_in_place_and_writes_through_links(tmp_path, monkeypatch):
+    """No existing artifact is opened with O_TRUNC or mode "w"; a symlinked
+    or hard-linked artifact keeps its link and its inode and gets the new
+    bytes; a new file gets mode 0o666 & ~umask."""
+    old = run_pipeline(parse_job('{"n": 4, "truth": "0111010011101000", "trace_input": "1100"}'))
+    new = run_pipeline(parse_job('{"n": 2, "truth": "0110", "trace_input": "10"}'))
+    targets = ("word", "qasm", "json", "bloch-csv")
+    out_dir, fresh, elsewhere = tmp_path / "out", tmp_path / "fresh", tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    umask = os.umask(0o027)
+    try:
+        emit(new, targets, fresh)
+    finally:
+        os.umask(umask)
+    assert {p.stat().st_mode & 0o777 for p in fresh.iterdir()} == {0o640}
+
+    emit(old, targets, out_dir)
+    target = elsewhere / "report.json"
+    (out_dir / "report.json").replace(target)
+    (out_dir / "report.json").symlink_to(target)
+    os.link(out_dir / "word.txt", elsewhere / "word.txt")
+    inodes = {name: (elsewhere / name).stat().st_ino for name in ("report.json", "word.txt")}
+
+    opens = _record_opens(monkeypatch, out_dir)
+    emit(new, targets, out_dir)
+    monkeypatch.undo()
+    assert sorted({name for name, _ in opens}) == sorted(p.name for p in fresh.iterdir())
+    for name, how in opens:
+        assert (how & os.O_TRUNC == 0) if isinstance(how, int) else ("w" not in how), (name, how)
+    assert (out_dir / "report.json").is_symlink()
+    for name, ino in inodes.items():
+        assert (elsewhere / name).stat().st_ino == ino
+        assert (elsewhere / name).read_bytes() == (fresh / name).read_bytes()
+    for p in fresh.iterdir():
+        assert (out_dir / p.name).read_bytes() == p.read_bytes()
+
+
+def test_emit_writes_each_distinct_target_once(tmp_path, monkeypatch, capsys):
+    opens = _record_opens(monkeypatch, tmp_path)
+    argv = ["synth", "--n", "2", "--truth", "0110", "--emit", "json,word,json",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert sorted(name for name, _ in opens) == ["report.json", "word.txt"]
+    out = capsys.readouterr().out
+    assert out.count("wrote json:") == 1 and out.count("wrote word:") == 1
+
+
+def test_main_exits_one_when_an_artifact_cannot_be_opened(tmp_path, capsys):
+    (tmp_path / "report.json").mkdir()
+    argv = ["synth", "--n", "2", "--truth", "0110", "--emit", "json", "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert "qcascade: error:" in capsys.readouterr().err
 
 
 # sha256 of the files `synth --emit word,qasm,json,bloch-csv` writes, pinned

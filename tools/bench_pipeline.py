@@ -6,7 +6,10 @@ run, then several timed runs (three at n >= 12, where a run takes up to
 seconds: a single run there swings wider than most changes it should show).
 It records the median of each stage of ``SynthesisReport.timings``, of
 their sum, and of the time ``emit`` takes to write the run's report.json
-(``emit_json_s``).  The truth table for seed s is drawn as in acceptance
+(``emit_json_s``).  Each size writes into one temporary directory, so every
+timed ``emit_json_s`` after the first overwrites the previous report.json
+in place, as ``emit`` does: it measures an overwrite, not the creation of a
+new file.  The truth table for seed s is drawn as in acceptance
 criterion 8: ``random.Random(s).getrandbits(1)`` per row, row 0 first.
 
 Each size and seed also runs one MGD job over D_7 the same way, with truth
