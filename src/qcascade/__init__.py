@@ -10,7 +10,7 @@ from .cascade import (VerificationReport, VerificationRow, canonical_cascade,
                       detect_symmetry, reduce_by_symmetry, simplify, verify_classical)
 from .cli import (JobError, JobSpec, PipelineError, SynthesisReport, emit,
                   parse_job, run_pipeline)
-from .dihedral import DihedralParams, GroupElement, evaluate_word, format_element
+from .dihedral import GroupElement, evaluate_word, format_element
 from .quantum import (BlochPoint, Gate, QCircuit, bloch_trace, bloch_trace_csv,
                       interaction_graph, map_to_circuit, rotation_matrix, to_qasm,
                       verify_quantum)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EQB", "MGD",
-    "BlochPoint", "CascadeWord", "DihedralParams", "Gate", "GroupElement",
+    "BlochPoint", "CascadeWord", "Gate", "GroupElement",
     "JobError", "JobSpec", "PipelineError", "QCircuit",
     "Refl", "Rot", "SynthesisReport", "TruthVector",
     "VerificationReport", "VerificationRow", "WalshSpectrum",

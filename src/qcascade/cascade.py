@@ -12,18 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .dihedral import DihedralParams, GroupElement, evaluate_word, format_element
+from .dihedral import GroupElement, evaluate_word, format_element
 from .spectral import TruthVector, WalshSpectrum, _signed_mod, spectrum_exact
 from .words import CascadeWord, Letter, Refl, Rot
 
 
-def canonical_cascade(spectrum: WalshSpectrum, params: DihedralParams | None = None) -> CascadeWord:
-    """Expand a spectrum into the unsimplified canonical cascade word."""
+def canonical_cascade(spectrum: WalshSpectrum) -> CascadeWord:
+    """Expand a spectrum into the unsimplified canonical cascade word, over
+    D_m for a spectrum taken modulo m and over the infinite group otherwise."""
     n = spectrum.n
-    if spectrum.modulus is not None and params is None:
-        raise ValueError("a modular spectrum needs dihedral parameters")
-    if spectrum.modulus is None and params is not None:
-        raise ValueError("an exact spectrum takes no dihedral parameters")
     # one object per distinct letter; the i < n with 2^i dividing k are the
     # first min(v + 1, n), where 2^v = k & -k
     refls = [Refl(frozenset({n - i})) for i in range(n)]
@@ -35,7 +32,7 @@ def canonical_cascade(spectrum: WalshSpectrum, params: DihedralParams | None = N
     for k, c in enumerate(spectrum.coeffs, 1):
         letters.append(rot_of[id(c)])
         letters += refls[:min((k & -k).bit_length(), n)]
-    return CascadeWord(n, tuple(letters), params)
+    return CascadeWord(n, tuple(letters), spectrum.modulus)
 
 
 def simplify(word: CascadeWord) -> CascadeWord:
@@ -43,12 +40,12 @@ def simplify(word: CascadeWord) -> CascadeWord:
 
     Rewrites: drop a^0, merge adjacent rotations by adding exponents, merge
     adjacent reflections by XOR of control sets (dropping empty merges).
-    Over D_n (``word.params``) every rotation exponent is first reduced to
+    Over D_n (``word.order`` n) every rotation exponent is first reduced to
     its signed residue in (-n/2, n/2], and a residue of 0 is dropped.
     Semantics-preserving and idempotent.  Letters that are neither merged
     nor reduced keep their objects; each distinct new letter is built once.
     """
-    order = None if word.params is None else word.params.n
+    order = word.order
     # The stack never holds two adjacent letters of the same type, so one
     # pass reaches the rewrite fixed point.
     out: list[Letter] = []
@@ -137,7 +134,7 @@ def verify_classical(word: CascadeWord, truth: TruthVector) -> VerificationRepor
     """
     if word.n_vars != truth.n:
         raise ValueError(f"word has {word.n_vars} variables, truth vector has {truth.n}")
-    p, t = word.params, word.target_var
+    order, t = word.order, word.target_var
     rows = []
     # a row's texts and verdict depend only on its element, F(x) and x_t;
     # evaluate_word shares one object per distinct element, so judge each
@@ -147,12 +144,12 @@ def verify_classical(word: CascadeWord, truth: TruthVector) -> VerificationRepor
         key = id(got), want, bits[t - 1] if t else None
         row = verdict.get(key)
         if row is None:
-            expected = GroupElement(want if p is None else want % p.n)
-            text, ok = format_element(got, p), t is None and got == expected
+            expected = GroupElement(want if order is None else want % order)
+            text, ok = format_element(got, order), t is None and got == expected
             if t is not None and not got.refl and got.rot in (0, 1):
                 # the retargeted rule: flip input x_t by h(x)
                 out_bit = bits[t - 1] ^ int(got.rot)
                 text, ok = str(out_bit), out_bit == want
-            row = verdict[key] = format_element(expected, p), text, ok
+            row = verdict[key] = format_element(expected, order), text, ok
         rows.append(VerificationRow(bits, *row))
     return VerificationReport("classical", tuple(rows))

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .cascade import (VerificationReport, VerificationRow, canonical_cascade, detect_symmetry,
                       reduce_by_symmetry, simplify, verify_classical)
-from .dihedral import DihedralParams
 from .quantum import (CZ, Gate, QCircuit, angle_text, bloch_trace_csv, interaction_graph,
                       map_to_circuit, to_qasm, verify_quantum)
 from .spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
@@ -248,9 +247,8 @@ def run_pipeline(job: JobSpec) -> SynthesisReport:
         timings[stage] = time.perf_counter() - t0
         return result
 
-    params = DihedralParams(job.dihedral_n) if job.mode == MGD else None
     spectrum = run("spectrum", lambda: _spectrum(job))
-    canonical = run("cascade", lambda: canonical_cascade(spectrum, params))
+    canonical = run("cascade", lambda: canonical_cascade(spectrum))
     simplified = run("simplify", lambda: simplify(canonical))
     reduced = None
     if job.mode == EQB and job.symmetry and run("symmetry", lambda: detect_symmetry(job.truth)):

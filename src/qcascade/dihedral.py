@@ -13,23 +13,11 @@ with words composed left to right.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .spectral import fwht
 from .words import CascadeWord, Rot
-
-
-@dataclass(frozen=True)
-class DihedralParams:
-    """Order parameter n of D_n (the group itself has order 2n)."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"dihedral order parameter must be at least 2, got {self.n}")
 
 
 class GroupElement(NamedTuple):
@@ -40,15 +28,15 @@ class GroupElement(NamedTuple):
     refl: bool = False
 
 
-def format_element(e: GroupElement, p: DihedralParams | None = None) -> str:
-    """Display form in D_n: "I", "a^k", "g", "a^k g" with k the signed
-    residue.  Without ``p`` (the infinite group): the exponent, then " g"
-    when reflected."""
-    if p is None:
+def format_element(e: GroupElement, order: int | None = None) -> str:
+    """Display form in D_order: "I", "a^k", "g", "a^k g" with k the signed
+    residue.  With ``order`` None (the infinite group): the exponent, then
+    " g" when reflected."""
+    if order is None:
         return f"{e.rot} g" if e.refl else f"{e.rot}"
     k = e.rot
-    if 2 * k > p.n:
-        k -= p.n
+    if 2 * k > order:
+        k -= order
     if k == 0:
         return "g" if e.refl else "I"
     return f"a^{k} g" if e.refl else f"a^{k}"
@@ -57,8 +45,8 @@ def format_element(e: GroupElement, p: DihedralParams | None = None) -> str:
 def evaluate_word(word: CascadeWord) -> list[GroupElement]:
     """Fold a cascade word on every input row at once, in row order.
 
-    Gives one GroupElement per row, of D_n when the word has ``params`` and
-    of the infinite dihedral group otherwise; rows share one object per
+    Gives one GroupElement per row, of D_n when the word's ``order`` is n and
+    of the infinite dihedral group when it is None; rows share one object per
     distinct element.  For a cascade realizing a function F the element on
     row x is a^F(x) (a^(F(x) mod n) in D_n) with no reflection.
 
@@ -85,7 +73,7 @@ def evaluate_word(word: CascadeWord) -> list[GroupElement]:
                 mask ^= 1 << (n - v)
     keys = list(zip(fwht(buckets), [(x & mask).bit_count() & 1 == 1 for x in range(1 << n)]))
     # one object per distinct element; in D_n several nets share a residue
-    order = None if word.params is None else word.params.n
+    order = word.order
     shared: dict[GroupElement, GroupElement] = {}
     element = {}
     for net, refl in set(keys):

@@ -126,7 +126,7 @@ def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
     """Translate a simplified word into gates.
 
     A rotation a^w becomes R_basis(pi * w) over the infinite dihedral group
-    (EQB) and R_basis(2 * pi * w / n) over D_n (MGD, n from ``word.params``):
+    (EQB) and R_basis(2 * pi * w / n) over D_n (MGD, n the word's ``order``):
     there a^n maps to R(2 * pi) = -I and g to the CZ sign flip Z, so the
     circuit represents D_n up to sign.  Each reflection control contributes
     one CZ against the target.  Words containing a^0 are rejected: simplify
@@ -136,7 +136,7 @@ def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
     if basis not in ("X", "Y"):
         raise ValueError(f"basis must be 'X' or 'Y', got {basis!r}")
     # half-turns per unit of rotation exponent; EQB exponents are half-turns
-    scale = None if word.params is None else Fraction(2, word.params.n)
+    scale = None if word.order is None else Fraction(2, word.order)
     rot_kind = RX if basis == "X" else RY
     n = word.n_vars
     if word.target_var is None:

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:
-    from .dihedral import DihedralParams
+from typing import Union
 
 EQB = "eqb"
 MGD = "mgd"
@@ -61,9 +58,10 @@ Letter = Union[Rot, Refl]
 class CascadeWord:
     """A sequence of letters over ``n_vars`` input variables.
 
-    The group decides the mode: with ``params`` the word is over D_n (MGD,
-    integer exponents); without, over the infinite dihedral group
-    <g, a | g^2 = I, g a g = a^-1> (EQB, rational exponents that never wrap).
+    The group decides the mode: with an ``order`` n (an int, at least 2) the
+    word is over D_n, where a^n = I (MGD, integer exponents); with None, over
+    the infinite dihedral group <g, a | g^2 = I, g a g = a^-1> (EQB, rational
+    exponents that never wrap).
     ``target_var`` is None when the word drives a fresh ancilla and an input
     variable index when a symmetry reduction retargeted the word onto that
     input qubit.
@@ -71,13 +69,19 @@ class CascadeWord:
 
     n_vars: int
     letters: tuple[Letter, ...]
-    params: "DihedralParams | None" = None
+    order: int | None = None
     target_var: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
         if self.n_vars < 0:
             raise ValueError("n_vars must be non-negative")
+        if self.order is not None:
+            # exact type: rejects bool, float and Fraction orders alike
+            if type(self.order) is not int:
+                raise TypeError(f"group order must be an int, got {self.order!r}")
+            if self.order < 2:
+                raise ValueError(f"group order must be at least 2, got {self.order}")
         if self.target_var is not None and not 1 <= self.target_var <= self.n_vars:
             raise ValueError(f"target variable x{self.target_var} out of range 1..{self.n_vars}")
         # letters are frozen, so one check per distinct letter object covers
@@ -87,9 +91,9 @@ class CascadeWord:
                 exponent = letter.exponent
                 if isinstance(exponent, bool):
                     raise TypeError(f"rotation exponents must not be bool, got {exponent!r}")
-                if self.params is not None and not isinstance(exponent, int):
+                if self.order is not None and not isinstance(exponent, int):
                     raise TypeError(f"MGD exponents must be integers, got {exponent!r}")
-                if self.params is None and not isinstance(exponent, (int, Fraction)):
+                if self.order is None and not isinstance(exponent, (int, Fraction)):
                     raise TypeError(f"EQB exponents must be rational, got {exponent!r}")
             elif isinstance(letter, Refl):
                 bad = [v for v in letter.controls if v > self.n_vars]

@@ -22,9 +22,9 @@ def fold_row(word, bits):
             acc += -letter.exponent if refl else letter.exponent
         elif sum(bits[v - 1] for v in letter.controls) % 2:
             refl = not refl
-    if word.params is None:
+    if word.order is None:
         return acc, refl
-    return GroupElement(int(acc) % word.params.n, refl)
+    return GroupElement(int(acc) % word.order, refl)
 
 
 def fold_rows(word) -> list:

@@ -8,31 +8,31 @@ the rail action and ``qcascade.dihedral.evaluate_word`` exhaustively.
 from dataclasses import dataclass
 from typing import Iterable
 
-from qcascade.dihedral import DihedralParams, GroupElement
+from qcascade.dihedral import GroupElement
 
 IDENTITY = GroupElement(0, False)
 
 
-def mul(e1: GroupElement, e2: GroupElement, p: DihedralParams) -> GroupElement:
+def mul(e1: GroupElement, e2: GroupElement, n: int) -> GroupElement:
     rot = e1.rot - e2.rot if e1.refl else e1.rot + e2.rot
-    return GroupElement(rot % p.n, e1.refl != e2.refl)
+    return GroupElement(rot % n, e1.refl != e2.refl)
 
 
-def element(rot: int, refl: bool, p: DihedralParams) -> GroupElement:
+def element(rot: int, refl: bool, n: int) -> GroupElement:
     """Build a normalized element, reducing the rotation exponent mod n."""
-    return GroupElement(rot % p.n, bool(refl))
+    return GroupElement(rot % n, bool(refl))
 
 
-def inv(e: GroupElement, p: DihedralParams) -> GroupElement:
+def inv(e: GroupElement, n: int) -> GroupElement:
     if e.refl:
         # reflections are involutions
         return e
-    return GroupElement(-e.rot % p.n, False)
+    return GroupElement(-e.rot % n, False)
 
 
-def all_elements(p: DihedralParams) -> Iterable[GroupElement]:
+def all_elements(n: int) -> Iterable[GroupElement]:
     for refl in (False, True):
-        for rot in range(p.n):
+        for rot in range(n):
             yield GroupElement(rot, refl)
 
 
@@ -54,13 +54,12 @@ class RailPermutation:
         return RailPermutation(tuple(other.image[i] for i in self.image))
 
 
-def to_permutation(e: GroupElement, p: DihedralParams) -> RailPermutation:
+def to_permutation(e: GroupElement, n: int) -> RailPermutation:
     """Rail action: a maps i to i+1 mod n, g maps i to (n - i) mod n.
 
     The rotation acts first, then the reflection, which makes
     to_permutation(mul(e1, e2)) == to_permutation(e1).then(to_permutation(e2)).
     """
-    n = p.n
     image = []
     for i in range(n):
         j = (i + e.rot) % n

@@ -44,7 +44,7 @@ def _push(out: list, letter, order) -> None:
 
 def simplify_reference(word):
     """The word with a^0 dropped and adjacent letters of one type merged."""
-    order = None if word.params is None else word.params.n
+    order = word.order
     out: list = []
     for letter in word.letters:
         _push(out, letter, order)

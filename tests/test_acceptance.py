@@ -14,7 +14,6 @@ import numpy as np
 
 from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry,
                               simplify, verify_classical)
-from qcascade.dihedral import DihedralParams
 from qcascade.quantum import (interaction_graph, map_to_circuit, rotation_matrix,
                               verify_quantum)
 from qcascade.spectral import TruthVector, fwht, spectrum_exact, spectrum_mod
@@ -49,12 +48,11 @@ def _eqb_circuit(truth):
 
 def test_criterion_1_golden_example():
     truth = TruthVector(2, (0, 1, 1, 0))
-    params = DihedralParams(3)
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
         spectrum = spectrum_mod(truth, 3)
-        word = simplify(canonical_cascade(spectrum, params))
+        word = simplify(canonical_cascade(spectrum))
         best = min(best, time.perf_counter() - t0)
     ok = (spectrum.coeffs == (-1, 0, 0, 1)
           and str(word) == "a^-1 g[x1,x2] a^1 g[x1,x2]"

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from qcascade.cascade import (VerificationRow, canonical_cascade, detect_symmetry,
                               reduce_by_symmetry, simplify, verify_classical)
-from qcascade.dihedral import DihedralParams, GroupElement, evaluate_word, format_element
+from qcascade.dihedral import GroupElement, evaluate_word, format_element
 from qcascade.quantum import map_to_circuit
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_fold import fold_row, fold_rows
 from reference_simplify import simplify_reference
-
-D3 = DihedralParams(3)
 
 
 def random_truth(rng, n):
@@ -29,12 +27,12 @@ def test_canonical_form_n1():
 
 
 def test_canonical_form_n2():
-    word = canonical_cascade(spectrum_mod(TruthVector.from_bits("0110"), 3), D3)
+    word = canonical_cascade(spectrum_mod(TruthVector.from_bits("0110"), 3))
     assert word.letters == (Rot(-1), Refl({2}),
                             Rot(0), Refl({2}), Refl({1}),
                             Rot(0), Refl({2}),
                             Rot(1), Refl({2}), Refl({1}))
-    assert word.params == D3
+    assert word.order == 3
 
 
 def test_canonical_reflection_blocks_n3():
@@ -65,12 +63,12 @@ def test_canonical_letter_count_law():
 def test_canonical_cascade_builds_each_distinct_letter_once():
     rng = random.Random(17)
     for n in range(1, 9):
-        cases = [(spectrum_exact(random_truth(rng, n)), None)]
+        spectra = [spectrum_exact(random_truth(rng, n))]
         for order in (3, 5, 7):
             multi = TruthVector(n, [rng.randrange(order) for _ in range(1 << n)])
-            cases.append((spectrum_mod(multi, order), DihedralParams(order)))
-        for spectrum, params in cases:
-            word = canonical_cascade(spectrum, params)
+            spectra.append(spectrum_mod(multi, order))
+        for spectrum in spectra:
+            word = canonical_cascade(spectrum)
             fresh = []
             for k, c in enumerate(spectrum.coeffs, 1):
                 fresh.append(Rot(c))
@@ -79,16 +77,17 @@ def test_canonical_cascade_builds_each_distinct_letter_once():
             assert len({id(letter) for letter in word.letters}) <= n + len(set(spectrum.coeffs))
 
 
-def test_canonical_rejects_modular_without_params():
-    with pytest.raises(ValueError, match="needs dihedral parameters"):
-        canonical_cascade(spectrum_mod(TruthVector.from_bits("01"), 3))
-    # and the converse: an exact spectrum must not silently drop a given group
-    with pytest.raises(ValueError, match="takes no dihedral parameters"):
-        canonical_cascade(spectrum_exact(TruthVector.from_bits("01")), D3)
+def test_canonical_cascade_takes_the_group_from_the_spectrum():
+    # a spectrum modulo m gives a word over D_m, an exact one a word over
+    # the infinite dihedral group
+    truth = TruthVector.from_bits("0110")
+    for m in (3, 5, 7, 9):
+        assert canonical_cascade(spectrum_mod(truth, m)).order == m
+    assert canonical_cascade(spectrum_exact(truth)).order is None
 
 
 def test_simplify_golden_example():
-    word = simplify(canonical_cascade(spectrum_mod(TruthVector.from_bits("0110"), 3), D3))
+    word = simplify(canonical_cascade(spectrum_mod(TruthVector.from_bits("0110"), 3)))
     assert str(word) == "a^-1 g[x1,x2] a^1 g[x1,x2]"
 
 
@@ -116,22 +115,22 @@ def test_simplify_cancels_through_dropped_letters():
 
 def test_simplify_reduces_exponents_to_signed_residues_over_dn():
     # a^1 a^2 = a^3 = I in D_3, so no RX(2 pi) = -I gate is left to emit
-    word = simplify(CascadeWord(1, (Rot(1), Rot(2)), params=D3))
+    word = simplify(CascadeWord(1, (Rot(1), Rot(2)), order=3))
     assert word.letters == ()
     assert map_to_circuit(word).gates == ()
     # a^2 a^2 = a^4 = a^1, and a kept a^4 or a^-2 is a^1: one object for all
     four = Rot(4)
     given = CascadeWord(2, (Rot(2), Rot(2), Refl({1}), four, Refl({2}), Rot(-2),
-                            Refl({1}), Rot(3), Refl({2}), four), params=D3)
+                            Refl({1}), Rot(3), Refl({2}), four), order=3)
     word = simplify(given)
     assert word.letters == (Rot(1), Refl({1}), Rot(1), Refl({2}), Rot(1), Refl({1, 2}), Rot(1))
     assert len({id(letter) for letter in word.letters if isinstance(letter, Rot)}) == 1
     assert evaluate_word(word) == fold_rows(given)
     # residues keep their objects; over D_5, 3 is -2
     minus = Rot(-1)
-    assert simplify(CascadeWord(1, (minus,), params=D3)).letters[0] is minus
-    assert simplify(CascadeWord(1, (Rot(3),), params=DihedralParams(5))).letters == (Rot(-2),)
-    # without params exponents never wrap
+    assert simplify(CascadeWord(1, (minus,), order=3)).letters[0] is minus
+    assert simplify(CascadeWord(1, (Rot(3),), order=5)).letters == (Rot(-2),)
+    # without an order exponents never wrap
     word = CascadeWord(1, (Rot(Fraction(3, 2)), Rot(Fraction(3, 2))))
     assert simplify(word).letters == (Rot(3),)
 
@@ -155,8 +154,7 @@ def _random_word(rng, mode, n_vars=3):
         else:
             controls = frozenset(rng.sample(range(1, n_vars + 1), rng.randrange(1, n_vars + 1)))
             letters.append(Refl(controls))
-    params = DihedralParams(5) if mode == MGD else None
-    return CascadeWord(n_vars, tuple(letters), params=params)
+    return CascadeWord(n_vars, tuple(letters), order=5 if mode == MGD else None)
 
 
 def test_simplify_preserves_semantics():
@@ -180,7 +178,7 @@ def test_evaluate_invariant_under_simplify_on_cascades():
             words = [canonical_cascade(spectrum_exact(truth))]
             for order in (3, 5, 7):
                 multi = TruthVector(n, [rng.randrange(order) for _ in range(1 << n)])
-                words.append(canonical_cascade(spectrum_mod(multi, order), DihedralParams(order)))
+                words.append(canonical_cascade(spectrum_mod(multi, order)))
             odd = TruthVector(n, [h ^ b for h in truth.values[0::2] for b in (0, 1)])
             words.append(reduce_by_symmetry(odd))
             for word in words:
@@ -201,8 +199,7 @@ def _words(draw, shared=False):
     if shared:
         letter = st.sampled_from(draw(st.lists(letter, min_size=1, max_size=4)))
     letters = draw(st.lists(letter, max_size=16 + 8 * shared))
-    return CascadeWord(n, tuple(letters),
-                       params=DihedralParams(5) if mode == MGD else None)
+    return CascadeWord(n, tuple(letters), order=5 if mode == MGD else None)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -290,7 +287,7 @@ def test_reduce_by_symmetry_verifies_exhaustively():
 
 
 def test_verify_classical_golden_mgd():
-    word = simplify(canonical_cascade(spectrum_mod(TruthVector.from_bits("0110"), 3), D3))
+    word = simplify(canonical_cascade(spectrum_mod(TruthVector.from_bits("0110"), 3)))
     report = verify_classical(word, TruthVector.from_bits("0110"))
     assert report.passed
     assert len(report.rows) == 4
@@ -314,11 +311,10 @@ def test_verify_classical_random_eqb():
 def test_verify_classical_random_mgd():
     rng = random.Random(31)
     for order in (3, 5, 7):
-        params = DihedralParams(order)
         for n in range(1, 5):
             for _ in range(10):
                 truth = random_truth(rng, n)
-                word = simplify(canonical_cascade(spectrum_mod(truth, order), params))
+                word = simplify(canonical_cascade(spectrum_mod(truth, order)))
                 assert verify_classical(word, truth).passed
 
 
@@ -327,7 +323,7 @@ def test_verify_classical_multivalued_mgd():
     rng = random.Random(8)
     for _ in range(20):
         truth = TruthVector(2, [rng.randrange(3) for _ in range(4)])
-        word = simplify(canonical_cascade(spectrum_mod(truth, 3), D3))
+        word = simplify(canonical_cascade(spectrum_mod(truth, 3)))
         report = verify_classical(word, truth)
         assert report.passed, report.rows
 
@@ -335,11 +331,10 @@ def test_verify_classical_multivalued_mgd():
 def test_verify_classical_mgd_rows_equal_per_row_reference():
     rng = random.Random(41)
     for order in (3, 5, 7):
-        params = DihedralParams(order)
         for n in range(1, 7):
             levels = rng.randrange(2, order + 1)
             truth = TruthVector(n, [rng.randrange(levels) for _ in range(1 << n)])
-            canonical = canonical_cascade(spectrum_mod(truth, order), params)
+            canonical = canonical_cascade(spectrum_mod(truth, order))
             # a second truth table with every other row changed gives failing rows
             wrong = TruthVector(n, [v + x % 2 for x, v in enumerate(truth.values)])
             for word in (canonical, simplify(canonical)):
@@ -347,8 +342,8 @@ def test_verify_classical_mgd_rows_equal_per_row_reference():
                     want = []
                     for bits, value in zip(t.assignments(), t.values):
                         got, expected = fold_row(word, bits), GroupElement(value % order)
-                        want.append(VerificationRow(bits, format_element(expected, params),
-                                                    format_element(got, params), got == expected))
+                        want.append(VerificationRow(bits, format_element(expected, order),
+                                                    format_element(got, order), got == expected))
                     assert verify_classical(word, t).rows == tuple(want)
 
 
@@ -413,7 +408,7 @@ def test_reflection_rejects_non_integer_controls(control):
 @pytest.mark.parametrize("mode", [EQB, MGD])
 def test_word_rejects_bool_exponents(mode):
     with pytest.raises(TypeError, match="got True"):
-        CascadeWord(1, (Rot(1), Rot(True)), params=D3 if mode == MGD else None)
+        CascadeWord(1, (Rot(1), Rot(True)), order=3 if mode == MGD else None)
 
 
 def test_word_rejects_a_bad_letter_repeated_at_many_positions():
@@ -423,4 +418,4 @@ def test_word_rejects_a_bad_letter_repeated_at_many_positions():
         CascadeWord(2, (beyond, half, beyond, Refl({1}), half, beyond, Refl({2})))
     third = Rot(Fraction(1, 3))
     with pytest.raises(TypeError, match="MGD exponents must be integers"):
-        CascadeWord(2, (third, Rot(1), third, Refl({1}), third, Rot(2)), params=D3)
+        CascadeWord(2, (third, Rot(1), third, Refl({1}), third, Rot(2)), order=3)

@@ -9,7 +9,6 @@ import pytest
 
 from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry, simplify,
                               verify_classical)
-from qcascade.dihedral import DihedralParams
 from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, bloch_trace,
                               bloch_trace_csv, interaction_graph, map_to_circuit, rotation_matrix,
                               to_qasm, verify_quantum)
@@ -202,7 +201,7 @@ def test_map_to_circuit_symmetry_layout_drops_ancilla():
 
 
 def test_map_to_circuit_scales_mgd_angles_by_group_order():
-    word = simplify(canonical_cascade(spectrum_mod(XOR2, 3), DihedralParams(3)))
+    word = simplify(canonical_cascade(spectrum_mod(XOR2, 3)))
     circ = map_to_circuit(word)
     rots = [g for g in circ.gates if g.kind == RX]
     # a^w turns by 2*pi*w/3
@@ -212,12 +211,13 @@ def test_map_to_circuit_scales_mgd_angles_by_group_order():
 
 def test_mgd_circuits_represent_the_dihedral_group_up_to_sign():
     # a -> R(2*pi/d), g -> Z: on row x the compiled circuit over D_d, with
-    # spectrum modulus d or 3d, must act on the target as +-R(2*pi*F(x)/d)
+    # spectrum modulus d or 3d, must act on the target as +-R(2*pi*F(x)/d);
+    # a^d = I, so a spectrum taken modulo 3d also folds over D_d
     z = np.diag([1.0, -1.0])
     rng = random.Random(31)
     for d, n, mult, basis in itertools.product((3, 5, 7), range(1, 6), (1, 3), "XY"):
         truth = TruthVector(n, [rng.randrange(d) for _ in range(1 << n)])
-        word = simplify(canonical_cascade(spectrum_mod(truth, mult * d), DihedralParams(d)))
+        word = simplify(replace(canonical_cascade(spectrum_mod(truth, mult * d)), order=d))
         circ = map_to_circuit(word, basis=basis)
         for x, value in enumerate(truth.values):
             bit_of = {q: (x >> (n - v)) & 1 for v, q in circ.layout}
@@ -253,7 +253,7 @@ def _gates_letter_by_letter(word, basis):
     gates = []
     for letter in word.letters:
         if isinstance(letter, Rot):
-            scale = 1 if word.params is None else Fraction(2, word.params.n)
+            scale = 1 if word.order is None else Fraction(2, word.order)
             gates.append(Gate(kind, target, pi_frac=Fraction(letter.exponent) * scale))
         else:
             gates += [Gate(CZ, target, control=v - shift) for v in sorted(letter.controls)]
@@ -271,8 +271,7 @@ def test_map_to_circuit_builds_each_distinct_gate_once():
         cases.append(reduce_by_symmetry(odd))
         for d in (3, 5, 7):
             truth = TruthVector(n, [rng.randrange(d) for _ in range(1 << n)])
-            params = DihedralParams(d)
-            cases.append(simplify(canonical_cascade(spectrum_mod(truth, d), params)))
+            cases.append(simplify(canonical_cascade(spectrum_mod(truth, d))))
     for word in cases:
         for basis in ("X", "Y"):
             gates = map_to_circuit(word, basis=basis).gates
