@@ -186,6 +186,8 @@ def _load_object(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise JobError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (RecursionError, ValueError) as e:  # deep nesting, long integers, bad bytes
+        raise JobError(f"unreadable JSON: {e}") from None
     if not isinstance(doc, dict):
         raise JobError("job document must be a JSON object")
     return doc
@@ -215,7 +217,6 @@ class SynthesisReport:
     circuit: QCircuit
     classical: VerificationReport
     quantum: VerificationReport | None
-    connectivity: tuple[tuple[int, int], ...]
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -235,7 +236,7 @@ def _spectrum(job: JobSpec) -> WalshSpectrum:
 
 
 def run_pipeline(job: JobSpec) -> SynthesisReport:
-    """Spectrum, cascade, simplify, symmetry, map, verify, connectivity."""
+    """Spectrum, cascade, simplify, symmetry, map, verify."""
     timings: dict[str, float] = {}
 
     def run(stage, fn):
@@ -257,11 +258,9 @@ def run_pipeline(job: JobSpec) -> SynthesisReport:
     circuit = run("map", lambda: map_to_circuit(word, basis=job.basis))
     classical = run("verify_classical", lambda: verify_classical(word, job.truth))
     quantum = run("verify_quantum", lambda: verify_quantum(circuit, job.truth)) if job.mode == EQB else None
-    connectivity = run("connectivity", lambda: interaction_graph(circuit))
     return SynthesisReport(job=job, spectrum=spectrum, canonical=canonical,
                            simplified=simplified, reduced=reduced, circuit=circuit,
-                           classical=classical, quantum=quantum, connectivity=connectivity,
-                           timings=timings)
+                           classical=classical, quantum=quantum, timings=timings)
 
 
 def _verification_dict(report: VerificationReport | None, n: int):
@@ -315,7 +314,7 @@ def report_to_mapping(report: SynthesisReport) -> dict:
                     "gate_counts": report.circuit.gate_counts()},
         "verification": {"classical": _verification_dict(report.classical, report.job.truth.n),
                          "quantum": _verification_dict(report.quantum, report.job.truth.n)},
-        "connectivity": {"edges": [list(e) for e in report.connectivity]},
+        "connectivity": {"edges": [list(e) for e in interaction_graph(report.circuit)]},
         "passed": report.passed,
     }
 
@@ -397,7 +396,7 @@ def print_report(report: SynthesisReport) -> None:
             if rep.first_failure is not None:
                 line += f"; first failure {_row_text(rep.first_failure)}"
             print(line)
-    print(f"connectivity: {len(report.connectivity)} edge(s)")
+    print(f"connectivity: {len(interaction_graph(report.circuit))} edge(s)")
     total = sum(report.timings.values())
     stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in report.timings.items())
     print(f"timing: total {total * 1e3:.2f} ms ({stages})")
@@ -455,8 +454,12 @@ _PARSER = build_parser()
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     if args.jobfile:
-        doc = _load_object(sys.stdin.read() if args.jobfile == "-"
-                           else Path(args.jobfile).read_text())
+        try:
+            text = (sys.stdin.read() if args.jobfile == "-"
+                    else Path(args.jobfile).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as e:
+            raise JobError(f"job file is not UTF-8: {e}") from None
+        doc = _load_object(text)
     else:
         doc = {}
         if args.n is None or args.truth is None:

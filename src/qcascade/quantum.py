@@ -271,8 +271,10 @@ def _bloch_point(a: complex, b: complex) -> BlochPoint:
     return BlochPoint(theta, phi)
 
 
-def _traced(circuit: QCircuit, assignment) -> list[tuple[str, BlochPoint]]:
-    """Label and Bloch point of the target before the first gate and after each gate.
+def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:
+    """Target-qubit Bloch coordinates: the initial state, then one point per
+    gate.  ``assignment`` gives one 0/1 bit (int or character) per circuit
+    input.
 
     In a star circuit the other qubits stay in the basis state the row sets
     (|0> when no input sits on them), so the target's two amplitudes (a, b)
@@ -287,7 +289,7 @@ def _traced(circuit: QCircuit, assignment) -> list[tuple[str, BlochPoint]]:
     target = circuit.target_qubit
     bit_of = {q: int(assignment[v - 1]) for v, q in circuit.layout}
     a, b = (0j, 1 + 0j) if bit_of.get(target) else (1 + 0j, 0j)
-    points = [("init", _bloch_point(a, b))]
+    points = [_bloch_point(a, b)]
     for gate in circuit.gates:
         if gate.kind == CZ:
             if bit_of.get(gate.control):
@@ -295,20 +297,15 @@ def _traced(circuit: QCircuit, assignment) -> list[tuple[str, BlochPoint]]:
         else:
             (m00, m01), (m10, m11) = rotation_matrix(gate.kind[-1], gate.angle).tolist()
             a, b = m00 * a + m01 * b, m10 * a + m11 * b
-        points.append((gate.kind, _bloch_point(a, b)))
+        points.append(_bloch_point(a, b))
     return points
 
 
-def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:
-    """Target-qubit Bloch coordinates: the initial state, then one point per
-    gate.  ``assignment`` gives one 0/1 bit (int or character) per circuit
-    input."""
-    return [point for _, point in _traced(circuit, assignment)]
-
-
 def bloch_trace_csv(circuit: QCircuit, assignment) -> str:
+    """``bloch_trace`` as CSV rows labelled ``init``, then each gate's kind."""
+    labels = ["init", *(g.kind for g in circuit.gates)]
     lines = ["step,gate,theta,phi"]
-    for step, (label, point) in enumerate(_traced(circuit, assignment)):
+    for step, (label, point) in enumerate(zip(labels, bloch_trace(circuit, assignment))):
         lines.append(f"{step},{label},{point.theta:.12g},{point.phi:.12g}")
     return "\n".join(lines) + "\n"
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,16 +84,6 @@ def fwht(values: Sequence) -> list:
     return out
 
 
-def modinv(a: int, m: int) -> int:
-    """Inverse of a modulo m, in [1, m)."""
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
-    g = math.gcd(a, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}: gcd({a}, {m}) = {g}")
-    return pow(a, -1, m)
-
-
 def _signed_mod(v: int, m: int) -> int:
     r = v % m
     return r - m if 2 * r > m else r
@@ -112,9 +101,10 @@ def spectrum_exact(truth: TruthVector) -> WalshSpectrum:
 
 
 def spectrum_mod(truth: TruthVector, modulus: int) -> WalshSpectrum:
-    """Modular MGD spectrum: modinv(2^n) * fwht(F), as signed residues."""
-    if modulus % 2 == 0:
-        raise ValueError(f"modulus must be odd, got {modulus}: 2^n has no inverse modulo an even number")
-    scale = modinv((1 << truth.n) % modulus, modulus)
+    """Modular MGD spectrum: (2^n)^-1 * fwht(F), as signed residues.  2^n is
+    invertible modulo every odd ``modulus`` of at least 3."""
+    if modulus < 3 or modulus % 2 == 0:
+        raise ValueError(f"modulus must be odd and at least 3, got {modulus}")
+    scale = pow(1 << truth.n, -1, modulus)
     coeffs = tuple(_signed_mod(c * scale, modulus) for c in fwht(truth.values))
     return WalshSpectrum(truth.n, coeffs, modulus)

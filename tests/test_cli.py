@@ -20,6 +20,7 @@ from qcascade.cascade import VerificationReport, VerificationRow
 from qcascade.cli import (EMIT_TARGETS, VERBS, JobError, JobSpec, PipelineError, _job_from_args,
                           build_parser, emit, job_to_mapping, main, parse_job, report_to_mapping,
                           run_pipeline)
+from qcascade.quantum import interaction_graph
 from qcascade.spectral import TruthVector
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_parser import build_subcommand_parser
@@ -311,7 +312,7 @@ def test_run_pipeline_xor_reduces_and_passes():
     assert str(report.word) == "a^1/2 g[x1] a^-1/2 g[x1]"
     assert report.circuit.num_qubits == 2
     assert report.quantum is not None and report.quantum.passed
-    assert report.connectivity == ((0, 1),)
+    assert interaction_graph(report.circuit) == ((0, 1),)
     assert report.timings and all(t >= 0 for t in report.timings.values())
 
 
@@ -361,7 +362,7 @@ def test_run_pipeline_passes_every_small_function():
     for doc in _small_function_jobs():
         report = run_pipeline(parse_job(json.dumps(doc)))
         assert report.passed, doc
-        assert all(report.circuit.target_qubit in e for e in report.connectivity), doc
+        assert all(report.circuit.target_qubit in e for e in interaction_graph(report.circuit)), doc
         counts[report.job.mode] += 1
     assert counts == {EQB: 552, MGD: 740}
 
@@ -805,6 +806,28 @@ def test_main_rejects_emit_outside_synth_before_the_pipeline(verb, tmp_path, mon
         assert out == ""
         assert "only synth emits artifacts" in err
         assert not out_dir.exists()
+
+
+# a job file that is not UTF-8, JSON nested deeper than the decoder's
+# recursion limit, and an integer literal past the 4,300-digit limit on
+# integer conversion
+MALFORMED_JOB_BYTES = {"not-utf8": b'\xff\xfe{"n":2}',
+                       "deep": b"[" * 100_000,
+                       "long-int": b'{"n": ' + b"1" * 5000 + b', "truth": "01"}'}
+
+
+@pytest.mark.parametrize("name", MALFORMED_JOB_BYTES)
+def test_malformed_job_file_is_a_job_error(name, tmp_path, capsys):
+    data = MALFORMED_JOB_BYTES[name]
+    with pytest.raises(JobError):
+        parse_job(data)
+    jobfile = tmp_path / "job.json"
+    jobfile.write_bytes(data)
+    assert main(["synth", str(jobfile)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qcascade: error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_main_usage_errors_exit_one(capsys):

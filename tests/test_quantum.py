@@ -543,6 +543,17 @@ def test_bloch_trace_csv_layout():
     assert lines[1] == "0,init,0,0"
     assert lines[2] == f"1,RX,{math.pi / 3:.12g},{1.5 * math.pi:.12g}"
     assert text.endswith("\n")
+    circ = map_to_circuit(simplify(canonical_cascade(spectrum_exact(XOR2))), basis="Y")
+    assert {g.kind for g in circ.gates} == {RY, CZ}
+    for bits in ("00", "01", "10", "11"):
+        header, *rows = bloch_trace_csv(circ, bits).splitlines()
+        assert header == "step,gate,theta,phi"
+        assert len(rows) == len(circ.gates) + 1
+        cells = [row.split(",") for row in rows]
+        assert [c[0] for c in cells] == [str(k) for k in range(len(rows))]
+        assert [c[1] for c in cells] == ["init", *(g.kind for g in circ.gates)]
+        assert [c[2:] for c in cells] == [[f"{p.theta:.12g}", f"{p.phi:.12g}"]
+                                          for p in bloch_trace(circ, bits)]
 
 
 def test_interaction_graph_star_for_cascades():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcascade.spectral import (TruthVector, WalshSpectrum, fwht, modinv,
+from qcascade.spectral import (TruthVector, WalshSpectrum, fwht,
                                spectrum_exact, spectrum_mod)
 from reference_walsh import walsh_matrix
 
@@ -98,20 +98,6 @@ def test_fwht_matches_definition_on_big_ints_and_fractions():
             assert all(type(c) is type(v[0]) for c in fwht(v))
 
 
-def test_modinv_examples():
-    assert modinv(4, 3) == 1
-    assert modinv(2, 5) == 3
-    assert 2 * modinv(2, 5) % 5 == 1
-    assert modinv(1, 7) == 1
-
-
-def test_modinv_errors():
-    with pytest.raises(ValueError, match="gcd"):
-        modinv(6, 9)
-    with pytest.raises(ValueError):
-        modinv(3, 1)
-
-
 def test_spectrum_exact_xor():
     s = spectrum_exact(TruthVector.from_bits("0110"))
     assert s.coeffs == (Fraction(1, 2), 0, 0, Fraction(-1, 2))
@@ -137,7 +123,7 @@ def test_spectrum_mod_example():
 
 
 def test_spectrum_mod_and():
-    # fwht([0,0,0,1]) = [1,-1,-1,1], scale modinv(4,3)=1
+    # fwht([0,0,0,1]) = [1,-1,-1,1], scale pow(4, -1, 3) = 1
     s = spectrum_mod(TruthVector.from_bits("0001"), 3)
     assert s.coeffs == (1, -1, -1, 1)
 
@@ -145,6 +131,12 @@ def test_spectrum_mod_and():
 def test_spectrum_mod_rejects_even_modulus():
     with pytest.raises(ValueError, match="odd"):
         spectrum_mod(TruthVector.from_bits("01"), 6)
+
+
+@pytest.mark.parametrize("modulus", [1, -3, 4, 6])
+def test_spectrum_mod_rejects_moduli_that_are_not_odd_and_at_least_3(modulus):
+    with pytest.raises(ValueError, match=f"odd and at least 3, got {modulus}"):
+        spectrum_mod(TruthVector.from_bits("01"), modulus)
 
 
 def test_spectrum_mod_signed_range():
@@ -176,7 +168,7 @@ def test_mod_matches_exact():
                 exact = spectrum_exact(truth).coeffs
                 modular = spectrum_mod(truth, modulus).coeffs
                 for e, m in zip(exact, modular):
-                    assert (e.numerator * modinv(e.denominator % modulus, modulus) - m) % modulus == 0
+                    assert (e.numerator * pow(e.denominator, -1, modulus) - m) % modulus == 0
 
 
 def test_spectrum_length_check():

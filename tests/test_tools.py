@@ -18,7 +18,7 @@ def test_bench_pipeline_writes_stage_medians(tmp_path):
     for row in result["sizes"].values():
         assert row["runs"] == 20 * len(result["seeds"])
         assert set(row["stages_s"]) == {"spectrum", "cascade", "simplify", "map",
-                                        "verify_classical", "verify_quantum", "connectivity"}
+                                        "verify_classical", "verify_quantum"}
         assert row["total_s"] > 0
         assert row["emit_json_s"] > 0
         assert row["mgd"]["runs"] == row["runs"]
