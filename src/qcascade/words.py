@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 EQB = "eqb"
@@ -22,17 +23,24 @@ Exponent = Union[Fraction, int]
 
 @dataclass(frozen=True)
 class Rot:
-    """Rotation letter ``a^exponent``."""
+    """Rotation letter ``a^exponent``.  Its text is formatted on first use
+    and kept on the letter, so a word that repeats the letter object formats
+    it once."""
 
     exponent: Exponent
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
         return f"a^{self.exponent}"
+
+    def __str__(self) -> str:
+        return self.text
 
 
 @dataclass(frozen=True)
 class Refl:
-    """Reflection letter controlled by the XOR of a non-empty variable set."""
+    """Reflection letter controlled by the XOR of a non-empty variable set.
+    Its text is formatted on first use and kept on the letter, as ``Rot``'s."""
 
     controls: frozenset[int]
 
@@ -46,9 +54,13 @@ class Refl:
         if any(v < 1 for v in self.controls):
             raise ValueError("control variables are numbered from 1")
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
         names = ",".join(f"x{v}" for v in sorted(self.controls))
         return f"g[{names}]"
+
+    def __str__(self) -> str:
+        return self.text
 
 
 Letter = Union[Rot, Refl]
@@ -106,7 +118,7 @@ class CascadeWord:
         return len(self.letters)
 
     def __str__(self) -> str:
-        distinct = {id(letter): letter for letter in self.letters}
-        text = {key: str(letter) for key, letter in distinct.items()}
-        return " ".join([text[id(letter)] for letter in self.letters])
+        """The letters' texts, space-separated; each letter object formats
+        its text once (``Rot.text``, ``Refl.text``)."""
+        return " ".join([letter.text for letter in self.letters])
 

@@ -520,29 +520,97 @@ def test_report_json_keeps_its_bytes_with_unshared_gates(tmp_path):
 
 
 def test_report_json_encodes_each_distinct_gate_once(tmp_path, monkeypatch):
+    """Each distinct gate entry and each distinct row verdict is encoded
+    once, and emit changes nothing that report_to_mapping builds."""
     rng = random.Random(7)
     doc = {"n": 7, "truth": [rng.randrange(5) for _ in range(128)], "mode": "mgd", "dihedral_n": 5}
     report = run_pipeline(parse_job(json.dumps(doc)))
     before = report_to_mapping(report)
-    built = []
-    monkeypatch.setattr(cli, "report_to_mapping",
-                        lambda r: built.append(report_to_mapping(r)) or built[-1])
-    encoded = []
+    gates, rows = [], []
     dumps = json.dumps
 
     def counting_dumps(obj, **kw):
         if isinstance(obj, dict) and "kind" in obj:
-            encoded.append(obj)
+            gates.append(obj)
+        if isinstance(obj, dict) and "expected" in obj:
+            rows.append((obj["expected"], obj["got"]))
         return dumps(obj, **kw)
     monkeypatch.setattr(json, "dumps", counting_dumps)
     emit(report, ["json"], tmp_path)
     monkeypatch.undo()
     distinct = len({id(g) for g in report.circuit.gates})
     assert len(report.circuit.gates) > distinct > 0
-    assert len(encoded) == distinct
-    # the mapping emit encoded is left as report_to_mapping built it
-    assert built[0] == before == report_to_mapping(report)
+    assert len(gates) == distinct
+    verdicts = {(row.expected, row.got) for row in report.classical.rows}
+    assert len(report.classical.rows) > len(verdicts)
+    assert sorted(rows) == sorted(verdicts)
+    # no entry that report_to_mapping shares between gates was changed
+    assert report_to_mapping(report) == before
     assert (tmp_path / "report.json").read_text() == dumps(before, sort_keys=True) + "\n"
+
+
+# a^1 g[x1] a^1 g[x2] reads 0 on every row but leaves -I, Z or -Z on three
+_GAP = CascadeWord(2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
+
+
+@pytest.mark.parametrize("case", ["gap-x", "gap-y", "mgd-shifted"])
+def test_failing_report_json_equals_stdlib_encoding(case, tmp_path, monkeypatch):
+    """Rows that fail, quantum rows with a dU distance and a report that
+    does not pass keep the bytes of the stdlib encoding."""
+    simplify = cli.simplify
+    if case == "mgd-shifted":
+        rng = random.Random(19)
+        doc = {"n": 5, "truth": [rng.randrange(7) for _ in range(32)], "mode": "mgd",
+               "dihedral_n": 7}
+
+        def shifted(word):  # a^1 in front: every row folds to a^(F(x) + 1)
+            word = simplify(word)
+            return replace(word, letters=(Rot(1), *word.letters))
+        monkeypatch.setattr(cli, "simplify", shifted)
+    else:
+        doc = {"n": 2, "truth": "0000", "basis": case[-1]}
+        monkeypatch.setattr(cli, "simplify", lambda word: _GAP)
+    report = run_pipeline(parse_job(json.dumps(doc)))
+    monkeypatch.undo()
+    assert not report.passed
+    emit(report, ["json"], tmp_path)
+    data = (tmp_path / "report.json").read_text()
+    assert data == json.dumps(report_to_mapping(report), sort_keys=True) + "\n"
+    assert '"ok": false' in data and '"passed": false' in data
+    if case == "mgd-shifted":
+        assert not any(row.ok for row in report.classical.rows)
+    else:
+        assert " dU=4" in data and '"got": "p=1 dU=4"' in data
+
+
+@st.composite
+def _report_jobs(draw):
+    """EQB jobs in both bases with the symmetry reduction on and off (half
+    of them odd in x_n, so that it applies) and MGD jobs over D_3, D_5 and
+    D_7, at n = 1-4."""
+    n = draw(st.integers(1, 4))
+    size = 1 << n
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([3, 5, 7]))
+        truth = draw(st.lists(st.integers(0, d - 1), min_size=size, max_size=size))
+        return {"n": n, "truth": truth, "mode": "mgd", "dihedral_n": d}
+    if draw(st.booleans()):
+        halves = draw(st.lists(st.integers(0, 1), min_size=size // 2, max_size=size // 2))
+        truth = [b for h in halves for b in (h, 1 - h)]
+    else:
+        truth = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    return {"n": n, "truth": "".join(map(str, truth)), "basis": draw(st.sampled_from("XY")),
+            "symmetry": draw(st.booleans())}
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=_report_jobs())
+def test_report_json_equals_stdlib_encoding_on_drawn_jobs(doc):
+    report = run_pipeline(parse_job(json.dumps(doc)))
+    with tempfile.TemporaryDirectory() as out_dir:
+        emit(report, ["json"], out_dir)
+        data = (Path(out_dir) / "report.json").read_text()
+    assert data == json.dumps(report_to_mapping(report), sort_keys=True) + "\n"
 
 
 def test_emitted_files_are_byte_identical_across_runs(tmp_path):
@@ -917,9 +985,7 @@ def test_main_verification_failure_exits_two(monkeypatch, capsys):
 def test_failing_job_names_its_first_failing_row(monkeypatch, capsys):
     import qcascade.cli as cli
 
-    # a^1 g[x1] a^1 g[x2] reads 0 on every row but leaves -I, Z or -Z on three
-    gap = CascadeWord(2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
-    monkeypatch.setattr(cli, "simplify", lambda word: gap)
+    monkeypatch.setattr(cli, "simplify", lambda word: _GAP)
     for basis in ("x", "y"):
         argv = ["--n", "2", "--truth", "0000", "--basis", basis]
         assert main(["synth", *argv]) == 2

@@ -22,8 +22,9 @@ def test_bench_pipeline_writes_stage_medians(tmp_path):
         assert row["total_s"] > 0
         assert row["emit_json_s"] > 0
         assert row["mgd"]["runs"] == row["runs"]
-        assert set(row["mgd"]) == {"runs", "total_s", "emit_json_s"}
+        assert set(row["mgd"]) == {"runs", "total_s", "emit_json_s", "report_bytes"}
         assert row["mgd"]["total_s"] > 0 and row["mgd"]["emit_json_s"] > 0
+        assert row["report_bytes"] > 0 and row["mgd"]["report_bytes"] > 0
 
 
 def test_perfbench_span_targets_resolve():

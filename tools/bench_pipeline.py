@@ -9,13 +9,15 @@ their sum, and of the time ``emit`` takes to write the run's report.json
 (``emit_json_s``).  Each size writes into one temporary directory, so every
 timed ``emit_json_s`` after the first overwrites the previous report.json
 in place, as ``emit`` does: it measures an overwrite, not the creation of a
-new file.  The truth table for seed s is drawn as in acceptance
-criterion 8: ``random.Random(s).getrandbits(1)`` per row, row 0 first.
+new file.  ``report_bytes`` is the length of the last report.json of the
+size, so that ``emit_json_s`` can be read against the size of what it
+writes.  The truth table for seed s is drawn as in acceptance criterion 8:
+``random.Random(s).getrandbits(1)`` per row, row 0 first.
 
 Each size and seed also runs one MGD job over D_7 the same way, with truth
 values ``rng.randrange(7)`` drawn by the same generator after the EQB table.
-``sizes[n]["mgd"]`` records its runs and the medians of its total and of its
-``emit_json_s``.
+``sizes[n]["mgd"]`` records its runs, the medians of its total and of its
+``emit_json_s``, and its ``report_bytes``.
 
 Run from the repository root:
 
@@ -61,12 +63,14 @@ def _time_runs(job, out_dir: str, samples: dict) -> None:
         for stage, seconds in report.timings.items():
             samples["stages"].setdefault(stage, []).append(seconds)
         t0 = time.perf_counter()
-        emit(report, ["json"], out_dir)
+        written = emit(report, ["json"], out_dir)
         samples["emits"].append(time.perf_counter() - t0)
+        samples["report_bytes"] = written["json"].stat().st_size
 
 
 def bench_size(n: int) -> dict:
-    eqb, mgd = ({"gates": set(), "totals": [], "stages": {}, "emits": []} for _ in range(2))
+    eqb, mgd = ({"gates": set(), "totals": [], "stages": {}, "emits": [], "report_bytes": 0}
+                for _ in range(2))
     with tempfile.TemporaryDirectory() as out_dir:
         for seed in SEEDS:
             rng = random.Random(seed)
@@ -82,9 +86,11 @@ def bench_size(n: int) -> dict:
             "total_s": statistics.median(eqb["totals"]),
             "stages_s": {stage: statistics.median(v) for stage, v in eqb["stages"].items()},
             "emit_json_s": statistics.median(eqb["emits"]),
+            "report_bytes": eqb["report_bytes"],
             "mgd": {"runs": len(mgd["totals"]),
                     "total_s": statistics.median(mgd["totals"]),
-                    "emit_json_s": statistics.median(mgd["emits"])}}
+                    "emit_json_s": statistics.median(mgd["emits"]),
+                    "report_bytes": mgd["report_bytes"]}}
 
 
 def main(argv=None) -> int:
@@ -100,9 +106,10 @@ def main(argv=None) -> int:
         result["sizes"][str(n)] = row = bench_size(n)
         stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in row["stages_s"].items())
         print(f"n={n}: total {row['total_s'] * 1e3:.2f} ms over {row['runs']} runs ({stages}), "
-              f"emit json {row['emit_json_s'] * 1e3:.2f} ms; MGD D_{MGD_ORDER}: total "
-              f"{row['mgd']['total_s'] * 1e3:.2f} ms, emit json "
-              f"{row['mgd']['emit_json_s'] * 1e3:.2f} ms", file=sys.stderr)
+              f"emit json {row['emit_json_s'] * 1e3:.2f} ms ({row['report_bytes']} bytes); "
+              f"MGD D_{MGD_ORDER}: total {row['mgd']['total_s'] * 1e3:.2f} ms, emit json "
+              f"{row['mgd']['emit_json_s'] * 1e3:.2f} ms ({row['mgd']['report_bytes']} bytes)",
+              file=sys.stderr)
     with open(args.out, "w") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
