@@ -263,12 +263,6 @@ def run_pipeline(job: JobSpec) -> SynthesisReport:
                            classical=classical, quantum=quantum, timings=timings)
 
 
-def _row_dicts(report: VerificationReport, n: int) -> list[dict]:
-    # rows come in row order, so row x's input bits are x in n binary digits
-    return [{"input": bin(x | 1 << n)[3:], "expected": row.expected, "got": row.got, "ok": row.ok}
-            for x, row in enumerate(report.rows)]
-
-
 def _gate_entry(g: Gate) -> dict:
     entry: dict = {"kind": g.kind, "target": g.target}
     if g.control is not None:
@@ -279,10 +273,17 @@ def _gate_entry(g: Gate) -> dict:
     return entry
 
 
-def _report_mapping(report: SynthesisReport, gates, rows) -> dict:
-    """The report body with ``gates`` as circuit.gates and ``rows(kind,
-    rep)`` as the row list of the oracle ``kind`` ("classical" or "quantum")
-    whose VerificationReport is ``rep``."""
+# json writes NUL as \u0000, which no other report string holds: job
+# strings are checked, and words, gates and rows are generated.  So "\0"
+# stands in for a row's input bits, and "\0" + name for a long list while
+# the rest of the report is encoded
+_SLOT = "\0"
+
+
+def _report_mapping(report: SynthesisReport) -> dict:
+    """The report body with ``_SLOT + "gates"`` as circuit.gates and
+    ``_SLOT + kind`` as the row list of the oracle ``kind`` ("classical" or
+    "quantum")."""
     simplified = str(report.simplified)
     reduced = None if report.reduced is None else str(report.reduced)
     target = report.word.target_var
@@ -301,10 +302,10 @@ def _report_mapping(report: SynthesisReport, gates, rows) -> dict:
         "circuit": {"num_qubits": report.circuit.num_qubits,
                     "target_qubit": report.circuit.target_qubit,
                     "layout": {f"x{v}": q for v, q in report.circuit.layout},
-                    "gates": gates,
+                    "gates": _SLOT + "gates",
                     "gate_counts": report.circuit.gate_counts()},
         "verification": {kind: None if rep is None else {"passed": rep.passed,
-                                                         "rows": rows(kind, rep)}
+                                                         "rows": _SLOT + kind}
                          for kind, rep in (("classical", report.classical),
                                            ("quantum", report.quantum))},
         "connectivity": {"edges": [list(e) for e in interaction_graph(report.circuit)]},
@@ -312,33 +313,11 @@ def _report_mapping(report: SynthesisReport, gates, rows) -> dict:
     }
 
 
-def report_to_mapping(report: SynthesisReport) -> dict:
-    """JSON report body. Deterministic: no timings, no timestamps.  The
-    reference form of report.json: ``emit`` writes
-    ``json.dumps(report_to_mapping(report), sort_keys=True) + "\\n"``.
-
-    Equal gates share one entry dict (``map_to_circuit`` shares one Gate
-    object between them), so treat the result as read-only.
-    """
-    gates = report.circuit.gates
-    entry_of = {key: _gate_entry(g) for key, g in {id(g): g for g in gates}.items()}
-    n = report.job.truth.n
-    return _report_mapping(report, [entry_of[id(g)] for g in gates],
-                           lambda kind, rep: _row_dicts(rep, n))
-
-
-# json writes NUL as \u0000, which no other report string holds: job
-# strings are checked, and words, gates and rows are generated.  So "\0"
-# stands in for a row's input bits, and "\0" + name for a long list while
-# the rest of the report is encoded
-_SLOT = "\0"
-
-
 def _rows_json(report: VerificationReport, n: int) -> str:
-    """``json.dumps(_row_dicts(report, n), sort_keys=True)``, encoding each
-    distinct (expected, got, ok) once: the input bits, the only part of a
-    row that differs between rows with one verdict, go between its prefix
-    and suffix."""
+    """One oracle's JSON row list, encoding each distinct (expected, got,
+    ok) once: the input bits, the only part of a row that differs between
+    rows with one verdict, go between its prefix and suffix (rows come in
+    row order, so row x's bits are x in n binary digits)."""
     verdicts = [row[1:] for row in report.rows]
     cut = json.dumps(_SLOT)[1:-1]
     parts = {v: json.dumps({"expected": v[0], "got": v[1], "input": _SLOT, "ok": v[2]},
@@ -350,10 +329,10 @@ def _rows_json(report: VerificationReport, n: int) -> str:
 
 
 def _report_json(report: SynthesisReport) -> str:
-    """``json.dumps(report_to_mapping(report), sort_keys=True) + "\\n"``,
-    built without the per-gate and per-row dicts: each distinct gate entry
-    and each distinct row verdict is encoded once, and the rest of the
-    report is encoded with a placeholder for each of the three long lists."""
+    """The text of report.json: the ``sort_keys`` stdlib encoding of the
+    report body, with no timings or timestamps, plus a newline.  Each
+    distinct gate entry and row verdict is encoded once, and the rest of the
+    report with a placeholder for each of the three long lists."""
     gates = report.circuit.gates
     text_of = {key: json.dumps(_gate_entry(g), sort_keys=True)
                for key, g in {id(g): g for g in gates}.items()}
@@ -363,12 +342,16 @@ def _report_json(report: SynthesisReport) -> str:
         if rep is not None:
             texts[_SLOT + kind] = _rows_json(rep, n)
     # the mapping is a fresh tree, so no cycle can reach the encoder
-    body = json.dumps(_report_mapping(report, _SLOT + "gates", lambda kind, rep: _SLOT + kind),
-                      sort_keys=True, check_circular=False)
+    body = json.dumps(_report_mapping(report), sort_keys=True, check_circular=False)
     # last slot first, so that no search reads a list already swapped in
     for slot, text in reversed(texts.items()):
         body = body.replace(json.dumps(slot), text, 1)
     return body + "\n"
+
+
+def report_to_mapping(report: SynthesisReport) -> dict:
+    """The body of report.json as a mapping."""
+    return json.loads(_report_json(report))
 
 
 def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:

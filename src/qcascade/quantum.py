@@ -25,6 +25,7 @@ from .words import CascadeWord, Rot
 
 RX, RY, CZ = "RX", "RY", "CZ"
 GATE_KINDS = frozenset({RX, RY, CZ})
+VERIFY_TOL = 1e-9
 
 
 def rotation_matrix(axis: str, theta: float) -> np.ndarray:
@@ -176,16 +177,16 @@ def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
                     layout=tuple(sorted(qubit_of.items())))
 
 
-def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> VerificationReport:
+def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
     """Unitary check: every row's whole 2x2 target unitary U_x must be
     R(pi * b(x)) about the circuit's rotation axis, where b(x) = F(x) xor
     t(x) and t(x) is the target's own input bit (0 with the ancilla).
 
     Row x passes when the target, started in |t(x)>, reads F(x) with
-    probability p >= 1 - tol, and every entry of U_x - R(pi * b(x)) has
-    squared modulus <= tol; the row's text is "p=<p>", with " dU=<largest
-    squared entry>" appended when only the unitary comparison fails.
-    ``truth.n`` must equal the circuit's number of inputs.
+    probability p >= 1 - VERIFY_TOL, and every entry of U_x - R(pi * b(x))
+    has squared modulus <= VERIFY_TOL; the row's text is "p=<p>", with
+    " dU=<largest squared entry>" appended when only the unitary comparison
+    fails.  ``truth.n`` must equal the circuit's number of inputs.
 
     All rows run at once in real arithmetic, as one (2, 2 * 2^n) array
     whose column c * 2^n + x holds U_x|c>: one 2x2 matmul per rotation and
@@ -242,8 +243,8 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector, tol: float = 1e-9) -> 
     expected[0, size:] = -flipped
     expected[1, :size] = flipped
     dist = ((u - expected) ** 2).reshape(4, size).max(axis=0)
-    p_ok = p_want >= 1.0 - tol
-    ok = p_ok & (dist <= tol)
+    p_ok = p_want >= 1.0 - VERIFY_TOL
+    ok = p_ok & (dist <= VERIFY_TOL)
     p_list = p_want.tolist()
     text_of = {p: f"p={p:.12g}" for p in set(p_list)}  # few distinct values
     got = [text_of[p] for p in p_list]

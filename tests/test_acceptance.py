@@ -101,7 +101,7 @@ def test_criterion_4_dual_verification_oracle_sweep():
         _CIRCUITS.append((f"eqb-n{truth.n}", circuit))
         checked += 1
         if not (verify_classical(word, truth).passed
-                and verify_quantum(circuit, truth, tol=1e-9).passed):
+                and verify_quantum(circuit, truth).passed):
             failures += 1
 
     for values in itertools.product((0, 1), repeat=4):
@@ -153,7 +153,7 @@ def test_criterion_6_symmetry_reduction_saves_a_qubit_and_gates():
                 and reduced_circuit.target_qubit == reduced_circuit.num_qubits - 1
                 and len(reduced_circuit.gates) < len(full_circuit.gates)
                 and verify_classical(reduced_word, truth).passed
-                and verify_quantum(reduced_circuit, truth, tol=1e-9).passed)
+                and verify_quantum(reduced_circuit, truth).passed)
         if not good:
             failures.append(truth.values)
 
@@ -221,7 +221,7 @@ def test_criterion_8_ten_variable_synthesis_under_a_minute():
     word = simplify(canonical_cascade(spectrum_exact(truth)))
     circuit = map_to_circuit(word)
     classical = verify_classical(word, truth)
-    quantum = verify_quantum(circuit, truth, tol=1e-9)
+    quantum = verify_quantum(circuit, truth)
     elapsed = time.perf_counter() - t0
     ok = (classical.passed and quantum.passed
           and circuit.num_qubits == 11

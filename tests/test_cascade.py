@@ -230,6 +230,7 @@ def test_detect_symmetry():
     assert detect_symmetry(TruthVector.from_bits("0001")) is False
     assert detect_symmetry(TruthVector.from_bits("01")) is True
     assert detect_symmetry(TruthVector.from_bits("00")) is False
+    assert detect_symmetry(TruthVector(0, (1,))) is False  # no x_n to be odd in
 
 
 def test_detect_symmetry_rejects_multivalued():
@@ -403,6 +404,21 @@ def test_verify_classical_flags_mismatch():
 def test_reflection_rejects_non_integer_controls(control):
     with pytest.raises(TypeError, match="control variables must be integers"):
         Refl({3, control})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: CascadeWord(-1, ()), ValueError, "n_vars must be non-negative"),
+    (lambda: CascadeWord(2, (), target_var=3), ValueError, "target variable x3 out of range 1..2"),
+    (lambda: CascadeWord(1, (Rot(0.5),)), TypeError, "EQB exponents must be rational, got 0.5"),
+    (lambda: CascadeWord(1, ("a",)), TypeError, "not a cascade letter: 'a'"),
+    (lambda: Refl(frozenset()), ValueError, "reflection letter needs at least one control variable"),
+    (lambda: Refl({0}), ValueError, "control variables are numbered from 1"),
+], ids=["negative-n", "target-beyond-n", "float-exponent", "not-a-letter", "no-controls",
+        "control-0"])
+def test_word_and_letter_checks_keep_their_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("mode", [EQB, MGD])

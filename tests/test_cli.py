@@ -24,6 +24,7 @@ from qcascade.quantum import interaction_graph
 from qcascade.spectral import TruthVector
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_parser import build_subcommand_parser
+from reference_report import report_mapping, report_text
 
 XOR_JOB = '{"n": 2, "truth": "0110"}'
 MGD_JOB = '{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3}'
@@ -489,9 +490,10 @@ def test_report_json_equals_stdlib_encoding_on_seeded_jobs(tmp_path):
         report = run_pipeline(parse_job(json.dumps(doc)))
         gate_counts.add(len(report.circuit.gates))
         emit(report, ("json",), tmp_path)
-        mapping = report_to_mapping(report)
+        mapping = report_mapping(report)
         data = (tmp_path / "report.json").read_bytes()
-        assert data == (json.dumps(mapping, sort_keys=True) + "\n").encode(), doc
+        assert data == report_text(report).encode(), doc
+        assert report_to_mapping(report) == json.loads(data), doc
         for kind in ("classical", "quantum"):
             if getattr(report, kind) is not None:
                 assert ([row["input"] for row in mapping["verification"][kind]["rows"]]
@@ -521,11 +523,10 @@ def test_report_json_keeps_its_bytes_with_unshared_gates(tmp_path):
 
 def test_report_json_encodes_each_distinct_gate_once(tmp_path, monkeypatch):
     """Each distinct gate entry and each distinct row verdict is encoded
-    once, and emit changes nothing that report_to_mapping builds."""
+    once."""
     rng = random.Random(7)
     doc = {"n": 7, "truth": [rng.randrange(5) for _ in range(128)], "mode": "mgd", "dihedral_n": 5}
     report = run_pipeline(parse_job(json.dumps(doc)))
-    before = report_to_mapping(report)
     gates, rows = [], []
     dumps = json.dumps
 
@@ -544,9 +545,7 @@ def test_report_json_encodes_each_distinct_gate_once(tmp_path, monkeypatch):
     verdicts = {(row.expected, row.got) for row in report.classical.rows}
     assert len(report.classical.rows) > len(verdicts)
     assert sorted(rows) == sorted(verdicts)
-    # no entry that report_to_mapping shares between gates was changed
-    assert report_to_mapping(report) == before
-    assert (tmp_path / "report.json").read_text() == dumps(before, sort_keys=True) + "\n"
+    assert (tmp_path / "report.json").read_text() == report_text(report)
 
 
 # a^1 g[x1] a^1 g[x2] reads 0 on every row but leaves -I, Z or -Z on three
@@ -575,7 +574,7 @@ def test_failing_report_json_equals_stdlib_encoding(case, tmp_path, monkeypatch)
     assert not report.passed
     emit(report, ["json"], tmp_path)
     data = (tmp_path / "report.json").read_text()
-    assert data == json.dumps(report_to_mapping(report), sort_keys=True) + "\n"
+    assert data == report_text(report)
     assert '"ok": false' in data and '"passed": false' in data
     if case == "mgd-shifted":
         assert not any(row.ok for row in report.classical.rows)
@@ -610,7 +609,7 @@ def test_report_json_equals_stdlib_encoding_on_drawn_jobs(doc):
     with tempfile.TemporaryDirectory() as out_dir:
         emit(report, ["json"], out_dir)
         data = (Path(out_dir) / "report.json").read_text()
-    assert data == json.dumps(report_to_mapping(report), sort_keys=True) + "\n"
+    assert data == report_text(report)
 
 
 def test_emitted_files_are_byte_identical_across_runs(tmp_path):
@@ -853,6 +852,21 @@ def test_main_rejects_bloch_csv_without_input_before_writing(tmp_path, capsys):
     assert out == ""
     assert "needs field 'trace_input'" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", [["synth"], ["verify"], ["trace", "--input", "10"]],
+                         ids=["synth", "verify", "trace"])
+def test_main_exits_one_on_a_pipeline_failure(verb, monkeypatch, capsys):
+    """A stage that raises ends the run with exit code 1 and one error line,
+    never with a traceback."""
+    def boom(word, basis):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "map_to_circuit", boom)
+    assert main([*verb, "--n", "2", "--truth", "0110"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "qcascade: error: stage 'map': boom\n"
 
 
 @pytest.mark.parametrize("verb", ["verify", "spectrum", "trace"])

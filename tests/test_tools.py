@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -37,6 +38,23 @@ def test_perfbench_span_targets_resolve():
         assert callable(getattr(importlib.import_module(modname), attr, None)), f"{modname}.{attr}"
     modname, clsname, attr, _ = spans.WORD_CLASS
     assert attr in vars(getattr(importlib.import_module(modname), clsname))
+
+
+def test_reference_report_imports_nothing_from_the_cli():
+    # the reference form of report.json checks the encoder only while it
+    # shares none of the encoder's code
+    tree = ast.parse((ROOT / "tests" / "reference_report.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert "qcascade.quantum" in imported
+    assert not [name for name in imported
+                if name == "qcascade.cli" or name.startswith(("qcascade.cli.", "."))]
 
 
 def test_sweep_eqb_passes_every_function_of_two_inputs():
