@@ -3,7 +3,8 @@
 The pipeline: Walsh spectrum (exact rational or modular), canonical
 rotation-reflection cascade over a dihedral group, local-rewrite
 simplification, optional symmetry reduction, mapping to RX/RY + CZ gates,
-and dual verification (exact group evaluation plus statevector simulation).
+and verification: an EQB circuit is checked twice, by exact group
+evaluation and a unitary check, an MGD job once, by group evaluation.
 """
 
 from .cascade import (VerificationReport, VerificationRow, canonical_cascade,

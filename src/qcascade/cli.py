@@ -202,7 +202,7 @@ def job_to_mapping(job: JobSpec) -> dict:
     """Round-trippable JSON form: parse_job(json.dumps(...)) == job."""
     doc = {key: getattr(job, key) for key in _JOB_FIELDS if getattr(job, key) is not None}
     values = job.truth.values
-    doc["truth"] = "".join(map(str, values)) if all(v in (0, 1) for v in values) else list(values)
+    doc["truth"] = "".join(map(str, values)) if job.truth.is_boolean else list(values)
     doc["emit"] = list(job.emit)
     return doc
 
@@ -225,8 +225,13 @@ class SynthesisReport:
         return self.simplified if self.reduced is None else self.reduced
 
     @property
+    def checks(self) -> tuple[VerificationReport, ...]:
+        """The checks the run made: classical, then quantum (EQB only)."""
+        return (self.classical,) if self.quantum is None else (self.classical, self.quantum)
+
+    @property
     def passed(self) -> bool:
-        return self.classical.passed and (self.quantum is None or self.quantum.passed)
+        return all(check.passed for check in self.checks)
 
 
 def _spectrum(job: JobSpec) -> WalshSpectrum:
@@ -304,10 +309,9 @@ def _report_mapping(report: SynthesisReport) -> dict:
                     "layout": {f"x{v}": q for v, q in report.circuit.layout},
                     "gates": _SLOT + "gates",
                     "gate_counts": report.circuit.gate_counts()},
-        "verification": {kind: None if rep is None else {"passed": rep.passed,
-                                                         "rows": _SLOT + kind}
-                         for kind, rep in (("classical", report.classical),
-                                           ("quantum", report.quantum))},
+        "verification": {"quantum": None, **{check.kind: {"passed": check.passed,
+                                                          "rows": _SLOT + check.kind}
+                                             for check in report.checks}},
         "connectivity": {"edges": [list(e) for e in interaction_graph(report.circuit)]},
         "passed": report.passed,
     }
@@ -338,9 +342,8 @@ def _report_json(report: SynthesisReport) -> str:
                for key, g in {id(g): g for g in gates}.items()}
     n = report.job.truth.n
     texts = {_SLOT + "gates": "[" + ", ".join(map(text_of.__getitem__, map(id, gates))) + "]"}
-    for kind, rep in (("classical", report.classical), ("quantum", report.quantum)):
-        if rep is not None:
-            texts[_SLOT + kind] = _rows_json(rep, n)
+    for check in report.checks:
+        texts[_SLOT + check.kind] = _rows_json(check, n)
     # the mapping is a fresh tree, so no cycle can reach the encoder
     body = json.dumps(_report_mapping(report), sort_keys=True, check_circular=False)
     # last slot first, so that no search reads a list already swapped in
@@ -402,12 +405,11 @@ def print_report(report: SynthesisReport) -> None:
     counts = " ".join(f"{k}={v}" for k, v in sorted(report.circuit.gate_counts().items()))
     print(f"circuit: {len(report.circuit.gates)} gates on {report.circuit.num_qubits} qubits "
           f"(target q[{report.circuit.target_qubit}]{', ' + counts if counts else ''})")
-    for rep in (report.classical, report.quantum):
-        if rep is not None:
-            line = f"{rep.kind} check: {rep.counts()} rows pass"
-            if rep.first_failure is not None:
-                line += f"; first failure {_row_text(rep.first_failure)}"
-            print(line)
+    for check in report.checks:
+        line = f"{check.kind} check: {check.counts()} rows pass"
+        if check.first_failure is not None:
+            line += f"; first failure {_row_text(check.first_failure)}"
+        print(line)
     print(f"connectivity: {len(interaction_graph(report.circuit))} edge(s)")
     total = sum(report.timings.values())
     stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in report.timings.items())
@@ -442,14 +444,16 @@ def build_parser() -> CliParser:
     parser.add_argument("jobfile", nargs="?", help="JSON job document ('-' for stdin)")
     parser.add_argument("--n", type=int, help="number of input variables")
     parser.add_argument("--truth", help="truth vector, row 0 first, x1 most significant")
-    parser.add_argument("--mode", choices=[EQB, MGD], help="synthesis mode (default eqb)")
-    parser.add_argument("--basis", choices=["x", "y", "X", "Y"], help="rotation basis (default X)")
+    parser.add_argument("--mode", help=f"synthesis mode, {EQB} (default) or {MGD}")
+    parser.add_argument("--basis", help="rotation basis, X (default) or Y")
     parser.add_argument("--dihedral-n", type=int, dest="dihedral_n",
                         help="dihedral group order (MGD)")
-    parser.add_argument("--no-symmetry", action="store_true", help="disable the symmetry reduction")
+    parser.add_argument("--no-symmetry", dest="symmetry", action="store_false", default=None,
+                        help="disable the symmetry reduction")
     parser.add_argument("--emit", help=f"comma-separated targets: {','.join(EMIT_TARGETS)}")
     parser.add_argument("--out-dir", default=".", help="directory for emitted files (default .)")
-    parser.add_argument("--input", help="assignment bits for the Bloch trace")
+    parser.add_argument("--input", dest="trace_input", metavar="INPUT",
+                        help="assignment bits for the Bloch trace")
     parser.add_argument("--force-large", action="store_true",
                         help=f"allow more than {MAX_VARS_DEFAULT} variables")
     # parse_intermixed_args formats the usage text on every call while it is
@@ -476,12 +480,9 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         doc = {}
         if args.n is None or args.truth is None:
             raise JobError("give a job file or both --n and --truth")
+    # a flag's dest is its job field, so JobSpec judges it as it judges the document's
     doc.update((key, value) for key in _JOB_FIELDS
                if (value := getattr(args, key, None)) is not None)
-    if args.input is not None:
-        doc["trace_input"] = args.input
-    if args.no_symmetry:
-        doc["symmetry"] = False
     return _job_from_mapping(doc, allow_large=args.force_large)
 
 
@@ -513,14 +514,12 @@ def main(argv=None) -> int:
     if args.command == "trace":
         print(bloch_trace_csv(report.circuit, job.trace_input), end="")
     elif args.command == "verify":
-        for rep in (report.classical, report.quantum):
-            if rep is None:
-                continue
-            for row in rep.rows:
-                print(f"{rep.kind} {_row_text(row)} [{'ok' if row.ok else 'MISMATCH'}]")
-        for rep in (report.classical, report.quantum):
-            if rep is not None and rep.first_failure is not None:
-                print(f"{rep.kind} first failure {_row_text(rep.first_failure)}")
+        for check in report.checks:
+            for row in check.rows:
+                print(f"{check.kind} {_row_text(row)} [{'ok' if row.ok else 'MISMATCH'}]")
+        for check in report.checks:
+            if check.first_failure is not None:
+                print(f"{check.kind} first failure {_row_text(check.first_failure)}")
         print(f"result: {'PASS' if report.passed else 'FAIL'}")
     else:
         print_report(report)

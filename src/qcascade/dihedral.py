@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .spectral import fwht
+from .spectral import _signed_mod, fwht
 from .words import CascadeWord, Rot
 
 
@@ -34,9 +34,7 @@ def format_element(e: GroupElement, order: int | None = None) -> str:
     " g" when reflected."""
     if order is None:
         return f"{e.rot} g" if e.refl else f"{e.rot}"
-    k = e.rot
-    if 2 * k > order:
-        k -= order
+    k = _signed_mod(e.rot, order)
     if k == 0:
         return "g" if e.refl else "I"
     return f"a^{k} g" if e.refl else f"a^{k}"

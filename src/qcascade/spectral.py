@@ -29,11 +29,6 @@ class TruthVector:
         if len(self.values) != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} values for n={self.n}, got {len(self.values)}")
 
-    @classmethod
-    def from_bits(cls, bits: str) -> "TruthVector":
-        n = (len(bits) - 1).bit_length()
-        return cls(n, tuple(int(c) for c in bits))
-
     @property
     def is_boolean(self) -> bool:
         return all(v in (0, 1) for v in self.values)

@@ -6,7 +6,6 @@ must give the same namespace, or exit with the same code.
 """
 
 from qcascade.cli import VERBS, CliParser
-from qcascade.words import EQB, MGD
 
 
 def build_subcommand_parser() -> CliParser:
@@ -17,12 +16,12 @@ def build_subcommand_parser() -> CliParser:
         sub.add_argument("jobfile", nargs="?")
         sub.add_argument("--n", type=int)
         sub.add_argument("--truth")
-        sub.add_argument("--mode", choices=[EQB, MGD])
-        sub.add_argument("--basis", choices=["x", "y", "X", "Y"])
+        sub.add_argument("--mode")
+        sub.add_argument("--basis")
         sub.add_argument("--dihedral-n", type=int, dest="dihedral_n")
-        sub.add_argument("--no-symmetry", action="store_true")
+        sub.add_argument("--no-symmetry", dest="symmetry", action="store_false", default=None)
         sub.add_argument("--emit")
         sub.add_argument("--out-dir", default=".")
-        sub.add_argument("--input")
+        sub.add_argument("--input", dest="trace_input")
         sub.add_argument("--force-large", action="store_true")
     return parser

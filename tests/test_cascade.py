@@ -22,12 +22,12 @@ def random_truth(rng, n):
 
 
 def test_canonical_form_n1():
-    word = canonical_cascade(spectrum_exact(TruthVector.from_bits("01")))
+    word = canonical_cascade(spectrum_exact(TruthVector(1, (0, 1))))
     assert word.letters == (Rot(Fraction(1, 2)), Refl({1}), Rot(Fraction(-1, 2)), Refl({1}))
 
 
 def test_canonical_form_n2():
-    word = canonical_cascade(spectrum_mod(TruthVector.from_bits("0110"), 3))
+    word = canonical_cascade(spectrum_mod(TruthVector(2, (0, 1, 1, 0)), 3))
     assert word.letters == (Rot(-1), Refl({2}),
                             Rot(0), Refl({2}), Refl({1}),
                             Rot(0), Refl({2}),
@@ -80,19 +80,19 @@ def test_canonical_cascade_builds_each_distinct_letter_once():
 def test_canonical_cascade_takes_the_group_from_the_spectrum():
     # a spectrum modulo m gives a word over D_m, an exact one a word over
     # the infinite dihedral group
-    truth = TruthVector.from_bits("0110")
+    truth = TruthVector(2, (0, 1, 1, 0))
     for m in (3, 5, 7, 9):
         assert canonical_cascade(spectrum_mod(truth, m)).order == m
     assert canonical_cascade(spectrum_exact(truth)).order is None
 
 
 def test_simplify_golden_example():
-    word = simplify(canonical_cascade(spectrum_mod(TruthVector.from_bits("0110"), 3)))
+    word = simplify(canonical_cascade(spectrum_mod(TruthVector(2, (0, 1, 1, 0)), 3)))
     assert str(word) == "a^-1 g[x1,x2] a^1 g[x1,x2]"
 
 
 def test_simplify_eqb_example():
-    word = simplify(canonical_cascade(spectrum_exact(TruthVector.from_bits("0110"))))
+    word = simplify(canonical_cascade(spectrum_exact(TruthVector(2, (0, 1, 1, 0)))))
     assert str(word) == "a^1/2 g[x1,x2] a^-1/2 g[x1,x2]"
 
 
@@ -225,11 +225,11 @@ def test_simplify_equals_letter_by_letter_reference(word):
 
 
 def test_detect_symmetry():
-    assert detect_symmetry(TruthVector.from_bits("0110")) is True
-    assert detect_symmetry(TruthVector.from_bits("0101")) is True
-    assert detect_symmetry(TruthVector.from_bits("0001")) is False
-    assert detect_symmetry(TruthVector.from_bits("01")) is True
-    assert detect_symmetry(TruthVector.from_bits("00")) is False
+    assert detect_symmetry(TruthVector(2, (0, 1, 1, 0))) is True
+    assert detect_symmetry(TruthVector(2, (0, 1, 0, 1))) is True
+    assert detect_symmetry(TruthVector(2, (0, 0, 0, 1))) is False
+    assert detect_symmetry(TruthVector(1, (0, 1))) is True
+    assert detect_symmetry(TruthVector(1, (0, 0))) is False
     assert detect_symmetry(TruthVector(0, (1,))) is False  # no x_n to be odd in
 
 
@@ -239,7 +239,7 @@ def test_detect_symmetry_rejects_multivalued():
 
 
 def test_reduce_by_symmetry_xor():
-    word = reduce_by_symmetry(TruthVector.from_bits("0110"))
+    word = reduce_by_symmetry(TruthVector(2, (0, 1, 1, 0)))
     assert str(word) == "a^1/2 g[x1] a^-1/2 g[x1]"
     assert word.target_var == 2
     assert word.n_vars == 2
@@ -247,21 +247,21 @@ def test_reduce_by_symmetry_xor():
 
 def test_reduce_by_symmetry_plain_passthrough():
     # f = x2: the residual is constant 0 and the word is empty
-    word = reduce_by_symmetry(TruthVector.from_bits("0101"))
+    word = reduce_by_symmetry(TruthVector(2, (0, 1, 0, 1)))
     assert word.letters == ()
     assert word.target_var == 2
 
 
 def test_reduce_by_symmetry_negation():
     # f = not x1 reduces to a constant-1 residual over zero variables
-    word = reduce_by_symmetry(TruthVector.from_bits("10"))
+    word = reduce_by_symmetry(TruthVector(1, (1, 0)))
     assert word.letters == (Rot(1),)
     assert word.target_var == 1
 
 
 def test_reduce_by_symmetry_requires_odd_function():
     with pytest.raises(ValueError, match="x2"):
-        reduce_by_symmetry(TruthVector.from_bits("0001"))
+        reduce_by_symmetry(TruthVector(2, (0, 0, 0, 1)))
 
 
 def _gate_count(word):
@@ -288,8 +288,8 @@ def test_reduce_by_symmetry_verifies_exhaustively():
 
 
 def test_verify_classical_golden_mgd():
-    word = simplify(canonical_cascade(spectrum_mod(TruthVector.from_bits("0110"), 3)))
-    report = verify_classical(word, TruthVector.from_bits("0110"))
+    word = simplify(canonical_cascade(spectrum_mod(TruthVector(2, (0, 1, 1, 0)), 3)))
+    report = verify_classical(word, TruthVector(2, (0, 1, 1, 0)))
     assert report.passed
     assert len(report.rows) == 4
     assert report.counts() == "4/4"
@@ -386,15 +386,15 @@ def test_verify_classical_eqb_rows_equal_per_row_reference():
 
 
 def test_verify_classical_rejects_variable_count_mismatch():
-    word = simplify(canonical_cascade(spectrum_exact(TruthVector.from_bits("0110"))))
+    word = simplify(canonical_cascade(spectrum_exact(TruthVector(2, (0, 1, 1, 0)))))
     with pytest.raises(ValueError, match="2 variables"):
-        verify_classical(word, TruthVector.from_bits("01101001"))
+        verify_classical(word, TruthVector(3, (0, 1, 1, 0, 1, 0, 0, 1)))
 
 
 def test_verify_classical_flags_mismatch():
-    truth = TruthVector.from_bits("0110")
+    truth = TruthVector(2, (0, 1, 1, 0))
     word = simplify(canonical_cascade(spectrum_exact(truth)))
-    wrong = TruthVector.from_bits("0111")
+    wrong = TruthVector(2, (0, 1, 1, 1))
     report = verify_classical(word, wrong)
     assert not report.passed
     assert [row.ok for row in report.rows] == [True, True, True, False]

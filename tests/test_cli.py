@@ -306,6 +306,27 @@ def test_flags_and_job_fields_are_one_mapping(case):
         assert _job_from_args(build_parser().parse_intermixed_args(argv)) == job
 
 
+@pytest.mark.parametrize("flag,value", [("--mode", "MGD"), ("--mode", "Eqb"),
+                                        ("--basis", "Y"), ("--basis", "x")])
+def test_flags_take_the_documents_spellings(flag, value):
+    doc = {"n": 2, "truth": "0110", flag[2:]: value}
+    if value.lower() == MGD:
+        doc["dihedral_n"] = 3
+    argv = ["synth", *(token for key, v in doc.items() for token in _flag(key, v))]
+    assert _job_from_args(build_parser().parse_intermixed_args(argv)) == parse_job(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc,kinds", [(MGD_JOB, ("classical",)),
+                                       ('{"n": 2, "truth": "0001"}', ("classical", "quantum")),
+                                       (XOR_JOB, ("classical", "quantum"))],
+                         ids=["mgd", "eqb", "eqb-retargeted"])
+def test_report_checks_are_the_checks_the_run_made(doc, kinds):
+    report = run_pipeline(parse_job(doc))
+    assert (report.reduced is not None) == (doc == XOR_JOB)
+    assert tuple(check.kind for check in report.checks) == kinds
+    assert report.checks == (report.classical, report.quantum)[:len(kinds)]
+
+
 def test_run_pipeline_xor_reduces_and_passes():
     report = run_pipeline(parse_job(XOR_JOB))
     assert report.passed
@@ -811,6 +832,20 @@ def test_main_spectrum_verb(capsys):
     assert capsys.readouterr().out == "[1/2, 0, 0, -1/2]\n"
 
 
+def test_main_spectrum_takes_an_upper_case_mode(capsys):
+    assert main(["spectrum", "--n", "2", "--truth", "0120",
+                 "--mode", "MGD", "--dihedral-n", "3"]) == 0
+    assert capsys.readouterr().out == "[0, 1, -1, 0]\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--mode", "qft"), ("--basis", "z")])
+def test_main_rejects_a_bad_flag_value_as_a_job_error(flag, value, capsys):
+    assert main(["synth", "--n", "2", "--truth", "0110", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"qcascade: error: field '{flag[2:]}': ") and err.count("\n") == 1, err
+
+
 def test_main_verify_verb_prints_rows(capsys):
     assert main(["verify", "--n", "2", "--truth", "0110"]) == 0
     out = capsys.readouterr().out
@@ -933,10 +968,9 @@ def test_main_usage_errors_exit_one(capsys):
         main(["bogus-command"])
     assert info.value.code == 1
     capsys.readouterr()
-    with pytest.raises(SystemExit) as info:
-        main(["synth", "--mode", "qft", "--n", "2", "--truth", "0110"])
-    assert info.value.code == 1
-    capsys.readouterr()
+    assert main(["synth", "--mode", "qft", "--n", "2", "--truth", "0110"]) == 1
+    assert (capsys.readouterr().err
+            == "qcascade: error: field 'mode': expected 'eqb' or 'mgd', got 'qft'\n")
     # 1 << n does not fit in memory for this n; the parser must answer without it
     assert main(["synth", "--n", str(2**70), "--truth", "01", "--force-large"]) == 1
     assert "expected 2**1180591620717411303424 entries" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from qcascade.spectral import TruthVector, WalshSpectrum, spectrum_exact, spectr
 from qcascade.words import CascadeWord, Refl, Rot
 from reference_statevector import p_one, strict_rows, verify_rows
 
-XOR2 = TruthVector.from_bits("0110")
+XOR2 = TruthVector(2, (0, 1, 1, 0))
 
 
 def xor_circuit():
@@ -306,7 +306,7 @@ def test_identity_keys_never_change_a_result():
     # x2 xor h(x1) with h = not x1, retargeted onto x2 (and, failing, on an
     # ancilla), with one shared a^(1/2) letter and with two equal ones
     half = Rot(Fraction(1, 2))
-    truth = TruthVector.from_bits("1001")
+    truth = TruthVector(2, (1, 0, 0, 1))
     for target in (2, None):
         shared = CascadeWord(2, (half, Refl({1}), half, Refl({1})), target_var=target)
         unshared = replace(shared, letters=(Rot(Fraction(1, 2)), Refl({1}),
@@ -423,7 +423,7 @@ def test_verify_quantum_sign_flip_fails_every_row_on_the_unitary_alone():
 def test_verify_quantum_catches_a_leftover_reflection_the_probability_misses():
     # a^1 g[x1] a^1 g[x2] reads 0 on every row but is -I, Z or -Z on three
     word = CascadeWord(2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
-    truth = TruthVector.from_bits("0000")
+    truth = TruthVector(2, (0, 0, 0, 0))
     assert verify_classical(word, truth).counts() == "1/4"
     for basis in ("X", "Y"):
         report = verify_quantum(map_to_circuit(word, basis=basis), truth)
@@ -478,7 +478,7 @@ def test_verify_quantum_rejects_mixed_rotation_axes():
     with pytest.raises(ValueError, match="mixes RX and RY"):
         verify_quantum(QCircuit(2, (Gate(RX, 0, pi_frac=Fraction(1, 2)), Gate(CZ, 0, control=1),
                                     Gate(RY, 0, pi_frac=Fraction(1, 2))), 0, ((1, 1),)),
-                       TruthVector.from_bits("01"))
+                       TruthVector(1, (0, 1)))
 
 
 def test_circuit_rejects_cz_control_out_of_range():
@@ -500,7 +500,7 @@ def test_bloch_trace_accepts_bit_characters_and_integers():
     assert bloch_trace(circ, "10") == bloch_trace(circ, (1, 0)) == bloch_trace(circ, [True, 0])
 
 
-@pytest.mark.parametrize("truth", [TruthVector.from_bits("01"), TruthVector.from_bits("01101001")])
+@pytest.mark.parametrize("truth", [TruthVector(1, (0, 1)), TruthVector(3, (0, 1, 1, 0, 1, 0, 0, 1))])
 def test_verify_quantum_rejects_truth_of_another_width(truth):
     for circ in (xor_circuit(), reduced_xor_circuit()):
         with pytest.raises(ValueError, match="2 input bits"):

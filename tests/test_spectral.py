@@ -24,12 +24,6 @@ def test_truth_vector_takes_integers_only():
             TruthVector(1, (0, bad))
 
 
-def test_truth_vector_from_bits():
-    t = TruthVector.from_bits("0110")
-    assert t.n == 2
-    assert t.values == (0, 1, 1, 0)
-
-
 def test_truth_vector_row_order():
     # x1 is the most significant index bit
     t = TruthVector(2, (0, 1, 2, 3))
@@ -99,7 +93,7 @@ def test_fwht_matches_definition_on_big_ints_and_fractions():
 
 
 def test_spectrum_exact_xor():
-    s = spectrum_exact(TruthVector.from_bits("0110"))
+    s = spectrum_exact(TruthVector(2, (0, 1, 1, 0)))
     assert s.coeffs == (Fraction(1, 2), 0, 0, Fraction(-1, 2))
     assert s.modulus is None
     assert str(s) == "[1/2, 0, 0, -1/2]"
@@ -116,7 +110,7 @@ def test_spectrum_exact_rejects_multivalued():
 
 
 def test_spectrum_mod_example():
-    s = spectrum_mod(TruthVector.from_bits("0110"), 3)
+    s = spectrum_mod(TruthVector(2, (0, 1, 1, 0)), 3)
     assert s.coeffs == (-1, 0, 0, 1)
     assert s.modulus == 3
     assert str(s) == "[-1, 0, 0, 1]"
@@ -124,19 +118,19 @@ def test_spectrum_mod_example():
 
 def test_spectrum_mod_and():
     # fwht([0,0,0,1]) = [1,-1,-1,1], scale pow(4, -1, 3) = 1
-    s = spectrum_mod(TruthVector.from_bits("0001"), 3)
+    s = spectrum_mod(TruthVector(2, (0, 0, 0, 1)), 3)
     assert s.coeffs == (1, -1, -1, 1)
 
 
 def test_spectrum_mod_rejects_even_modulus():
     with pytest.raises(ValueError, match="odd"):
-        spectrum_mod(TruthVector.from_bits("01"), 6)
+        spectrum_mod(TruthVector(1, (0, 1)), 6)
 
 
 @pytest.mark.parametrize("modulus", [1, -3, 4, 6])
 def test_spectrum_mod_rejects_moduli_that_are_not_odd_and_at_least_3(modulus):
     with pytest.raises(ValueError, match=f"odd and at least 3, got {modulus}"):
-        spectrum_mod(TruthVector.from_bits("01"), modulus)
+        spectrum_mod(TruthVector(1, (0, 1)), modulus)
 
 
 def test_spectrum_mod_signed_range():

@@ -4,7 +4,10 @@ import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from qcascade.cli import JobSpec, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,6 +58,14 @@ def test_reference_report_imports_nothing_from_the_cli():
     assert "qcascade.quantum" in imported
     assert not [name for name in imported
                 if name == "qcascade.cli" or name.startswith(("qcascade.cli.", "."))]
+
+
+def test_every_flag_sets_a_job_field_or_a_run_option():
+    # _job_from_args copies each flag to the JobSpec field named by its dest,
+    # so a flag with another dest would need a special case there
+    dests = {action.dest for action in build_parser()._actions}
+    job_fields = {f.name for f in fields(JobSpec)}
+    assert dests - job_fields <= {"help", "command", "jobfile", "out_dir", "force_large"}
 
 
 def test_sweep_eqb_passes_every_function_of_two_inputs():

@@ -29,7 +29,7 @@ def failure(n: int, truth: str) -> str | None:
         report = run_pipeline(parse_job(json.dumps({"n": n, "truth": truth})))
     except (JobError, PipelineError) as e:
         return f"{type(e).__name__}: {e}"
-    for check in (report.classical, report.quantum):
+    for check in report.checks:
         row = check.first_failure
         if row is not None:
             return (f"{check.kind} row {''.join(map(str, row.assignment))}: "
