@@ -99,9 +99,9 @@ def reduce_by_symmetry(truth: TruthVector) -> CascadeWord:
 
 
 class VerificationRow(NamedTuple):
-    """One checked row; equal to the tuple (assignment, expected, got, ok)."""
+    """One checked row; equal to the tuple (expected, got, ok).  A report
+    holds its rows in row order, so row x checks input x."""
 
-    assignment: tuple[int, ...]
     expected: str
     got: str
     ok: bool
@@ -113,8 +113,9 @@ class VerificationReport:
     rows: tuple[VerificationRow, ...]
 
     @property
-    def first_failure(self) -> VerificationRow | None:
-        return next((row for row in self.rows if not row.ok), None)
+    def first_failure(self) -> int | None:
+        """The index of the first failing row, or None when every row passes."""
+        return next((x for x, row in enumerate(self.rows) if not row.ok), None)
 
     @property
     def passed(self) -> bool:
@@ -134,22 +135,23 @@ def verify_classical(word: CascadeWord, truth: TruthVector) -> VerificationRepor
     """
     if word.n_vars != truth.n:
         raise ValueError(f"word has {word.n_vars} variables, truth vector has {truth.n}")
-    order, t = word.order, word.target_var
+    order, t, n = word.order, word.target_var, word.n_vars
     rows = []
-    # a row's texts and verdict depend only on its element, F(x) and x_t;
+    # a row's verdict depends only on its element, F(x) and x_t;
     # evaluate_word shares one object per distinct element, so judge each
     # distinct (element object, F(x), x_t) once
     verdict: dict = {}
-    for bits, want, got in zip(truth.assignments(), truth.values, evaluate_word(word)):
-        key = id(got), want, bits[t - 1] if t else None
+    for x, (want, got) in enumerate(zip(truth.values, evaluate_word(word))):
+        bit = x >> (n - t) & 1 if t else None
+        key = id(got), want, bit
         row = verdict.get(key)
         if row is None:
             expected = GroupElement(want if order is None else want % order)
             text, ok = format_element(got, order), t is None and got == expected
             if t is not None and not got.refl and got.rot in (0, 1):
                 # the retargeted rule: flip input x_t by h(x)
-                out_bit = bits[t - 1] ^ int(got.rot)
+                out_bit = bit ^ int(got.rot)
                 text, ok = str(out_bit), out_bit == want
-            row = verdict[key] = format_element(expected, order), text, ok
-        rows.append(VerificationRow(bits, *row))
+            row = verdict[key] = VerificationRow(format_element(expected, order), text, ok)
+        rows.append(row)
     return VerificationReport("classical", tuple(rows))

@@ -20,7 +20,7 @@ from .words import EQB, MGD, CascadeWord
 MAX_VARS_DEFAULT = 10
 # bounds the trial-division primality test of dihedral_n to ~46k divisions
 MAX_DIHEDRAL_N = 2**31 - 1
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 # emit target -> (file name, the file's text for a report)
 _ARTIFACTS = {
     "word": ("word.txt", lambda r: str(r.word) + "\n"),
@@ -279,9 +279,8 @@ def _gate_entry(g: Gate) -> dict:
 
 
 # json writes NUL as \u0000, which no other report string holds: job
-# strings are checked, and words, gates and rows are generated.  So "\0"
-# stands in for a row's input bits, and "\0" + name for a long list while
-# the rest of the report is encoded
+# strings are checked, and words, gates and rows are generated.  So "\0" +
+# name stands in for a long list while the rest of the report is encoded
 _SLOT = "\0"
 
 
@@ -317,19 +316,13 @@ def _report_mapping(report: SynthesisReport) -> dict:
     }
 
 
-def _rows_json(report: VerificationReport, n: int) -> str:
-    """One oracle's JSON row list, encoding each distinct (expected, got,
-    ok) once: the input bits, the only part of a row that differs between
-    rows with one verdict, go between its prefix and suffix (rows come in
-    row order, so row x's bits are x in n binary digits)."""
-    verdicts = [row[1:] for row in report.rows]
-    cut = json.dumps(_SLOT)[1:-1]
-    parts = {v: json.dumps({"expected": v[0], "got": v[1], "input": _SLOT, "ok": v[2]},
-                           sort_keys=True).split(cut)
-             for v in dict.fromkeys(verdicts)}
-    pairs = map(parts.__getitem__, verdicts)
-    return "[" + ", ".join([f"{head}{bin(x | 1 << n)[3:]}{tail}"
-                            for x, (head, tail) in enumerate(pairs)]) + "]"
+def _list_json(items, key, entry) -> str:
+    """The JSON list of ``entry(item)`` for each item, in order, encoding
+    each distinct ``key(item)`` once: items with one key have one entry."""
+    keys = list(map(key, items))
+    text_of = {k: json.dumps(entry(item), sort_keys=True)
+               for k, item in dict(zip(keys, items)).items()}
+    return "[" + ", ".join(map(text_of.__getitem__, keys)) + "]"
 
 
 def _report_json(report: SynthesisReport) -> str:
@@ -337,13 +330,9 @@ def _report_json(report: SynthesisReport) -> str:
     report body, with no timings or timestamps, plus a newline.  Each
     distinct gate entry and row verdict is encoded once, and the rest of the
     report with a placeholder for each of the three long lists."""
-    gates = report.circuit.gates
-    text_of = {key: json.dumps(_gate_entry(g), sort_keys=True)
-               for key, g in {id(g): g for g in gates}.items()}
-    n = report.job.truth.n
-    texts = {_SLOT + "gates": "[" + ", ".join(map(text_of.__getitem__, map(id, gates))) + "]"}
+    texts = {_SLOT + "gates": _list_json(report.circuit.gates, id, _gate_entry)}
     for check in report.checks:
-        texts[_SLOT + check.kind] = _rows_json(check, n)
+        texts[_SLOT + check.kind] = _list_json(check.rows, lambda row: row, VerificationRow._asdict)
     # the mapping is a fresh tree, so no cycle can reach the encoder
     body = json.dumps(_report_mapping(report), sort_keys=True, check_circular=False)
     # last slot first, so that no search reads a list already swapped in
@@ -386,8 +375,11 @@ def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
     return written
 
 
-def _row_text(row: VerificationRow) -> str:
-    return f"{''.join(map(str, row.assignment))}: expected {row.expected}, got {row.got}"
+def _row_text(check: VerificationReport, x: int) -> str:
+    """Row x's input bits, x1 first, and its verdict."""
+    n = len(check.rows).bit_length() - 1
+    row = check.rows[x]
+    return f"{bin(x | 1 << n)[3:]}: expected {row.expected}, got {row.got}"
 
 
 def print_report(report: SynthesisReport) -> None:
@@ -408,7 +400,7 @@ def print_report(report: SynthesisReport) -> None:
     for check in report.checks:
         line = f"{check.kind} check: {check.counts()} rows pass"
         if check.first_failure is not None:
-            line += f"; first failure {_row_text(check.first_failure)}"
+            line += f"; first failure {_row_text(check, check.first_failure)}"
         print(line)
     print(f"connectivity: {len(interaction_graph(report.circuit))} edge(s)")
     total = sum(report.timings.values())
@@ -515,11 +507,11 @@ def main(argv=None) -> int:
         print(bloch_trace_csv(report.circuit, job.trace_input), end="")
     elif args.command == "verify":
         for check in report.checks:
-            for row in check.rows:
-                print(f"{check.kind} {_row_text(row)} [{'ok' if row.ok else 'MISMATCH'}]")
+            for x, row in enumerate(check.rows):
+                print(f"{check.kind} {_row_text(check, x)} [{'ok' if row.ok else 'MISMATCH'}]")
         for check in report.checks:
             if check.first_failure is not None:
-                print(f"{check.kind} first failure {_row_text(check.first_failure)}")
+                print(f"{check.kind} first failure {_row_text(check, check.first_failure)}")
         print(f"result: {'PASS' if report.passed else 'FAIL'}")
     else:
         print_report(report)

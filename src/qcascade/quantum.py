@@ -251,7 +251,7 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
     for i in np.flatnonzero(p_ok & ~ok).tolist():
         got[i] += f" dU={dist[i]:.12g}"
     return VerificationReport("quantum", tuple(map(
-        VerificationRow, truth.assignments(), map(str, truth.values), got, ok.tolist())))
+        VerificationRow, map(str, truth.values), got, ok.tolist())))
 
 
 @dataclass(frozen=True)

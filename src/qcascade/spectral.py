@@ -5,8 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,6 @@ class TruthVector:
     @property
     def is_boolean(self) -> bool:
         return all(v in (0, 1) for v in self.values)
-
-    def assignments(self) -> Iterator[tuple[int, ...]]:
-        """All assignments in row order."""
-        return product((0, 1), repeat=self.n)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ parity and adding each rotation exponent with the current sign.
 from fractions import Fraction
 from itertools import product
 
-from qcascade.dihedral import GroupElement
+from qcascade.dihedral import GroupElement, format_element
 from qcascade.words import Rot
 
 
@@ -30,3 +30,23 @@ def fold_row(word, bits):
 def fold_rows(word) -> list:
     """fold_row on every assignment of the word's variables, in row order."""
     return [fold_row(word, bits) for bits in product((0, 1), repeat=word.n_vars)]
+
+
+def classical_row(word, bits, want) -> tuple[str, str, bool]:
+    """The (expected, got, ok) of the classical check of one row whose truth
+    value is ``want``, from its fold: the row must fold to a^want (mod the
+    group order over D_n), or, for a word retargeted onto x_t, to a^h with
+    x_t xor h = want."""
+    got = fold_row(word, bits)
+    if word.order is not None:
+        expected = GroupElement(want % word.order)
+        return (format_element(expected, word.order), format_element(got, word.order),
+                got == expected)
+    net, refl = got
+    text = f"{net} g" if refl else f"{net}"
+    if word.target_var is None:
+        return str(want), text, not refl and net == want
+    if refl or net not in (0, 1):
+        return str(want), text, False
+    out_bit = bits[word.target_var - 1] ^ int(net)
+    return str(want), str(out_bit), out_bit == want

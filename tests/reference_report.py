@@ -41,8 +41,7 @@ def _gate(gate) -> dict:
 def _verification(rep):
     if rep is None:
         return None
-    rows = [{"input": "".join(map(str, row.assignment)), "expected": row.expected,
-             "got": row.got, "ok": row.ok} for row in rep.rows]
+    rows = [{"expected": row.expected, "got": row.got, "ok": row.ok} for row in rep.rows]
     return {"passed": all(row["ok"] for row in rows), "rows": rows}
 
 
@@ -54,7 +53,7 @@ def report_mapping(report) -> dict:
     verification = {"classical": _verification(report.classical),
                     "quantum": _verification(report.quantum)}
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "job": _job(report.job),
         "spectrum": {"coefficients": [str(c) for c in report.spectrum.coeffs]},
         "words": {"canonical": str(report.canonical),

@@ -7,6 +7,7 @@ q holds qubit q (little-endian).
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -51,21 +52,32 @@ def p_one(circuit, bits) -> float:
     return float(np.sum(np.abs(run_row(circuit, bits)[ones]) ** 2))
 
 
+def _p_want(circuit, bits, want) -> float:
+    """Probability that the target qubit reads ``want`` after the circuit."""
+    p = p_one(circuit, bits)
+    return p if want else 1.0 - p
+
+
 def verify_rows(circuit, truth, tol: float = 1e-9) -> VerificationReport:
     """The rows ``verify_quantum`` reports, computed one full statevector at a time."""
     rows = []
-    for bits, want in zip(truth.assignments(), truth.values):
-        p = p_one(circuit, bits)
-        p_want = p if want else 1.0 - p
-        rows.append(VerificationRow(bits, str(want), f"p={p_want:.12g}", p_want >= 1.0 - tol))
+    for bits, want in zip(product((0, 1), repeat=truth.n), truth.values):
+        p_want = _p_want(circuit, bits, want)
+        rows.append(VerificationRow(str(want), f"p={p_want:.12g}", p_want >= 1.0 - tol))
     return VerificationReport("quantum", tuple(rows))
 
 
 def strict_rows(circuit, truth, tol: float = 1e-9) -> list[tuple[bool, float]]:
-    """Per row, ``verify_quantum``'s strict verdict and the largest squared
-    distance, from full statevectors.
+    """``strict_row`` on every row, in row order."""
+    return [strict_row(circuit, bits, want, tol)
+            for bits, want in zip(product((0, 1), repeat=truth.n), truth.values)]
 
-    Row x starts the target qubit in |t> (t = the target's own input bit, 0
+
+def strict_row(circuit, bits, want, tol: float = 1e-9) -> tuple[bool, float]:
+    """``verify_quantum``'s strict verdict on one row whose truth value is
+    ``want``, and the largest squared distance, from full statevectors.
+
+    The row starts the target qubit in |t> (t = the target's own input bit, 0
     with the ancilla) and must read F(x) with probability >= 1 - tol.  Run
     from the row's basis state with the target set to |0> and to |1>, the
     whole statevector must also equal R(pi * (F(x) xor t)) applied to the
@@ -75,19 +87,26 @@ def strict_rows(circuit, truth, tol: float = 1e-9) -> list[tuple[bool, float]]:
     axis = next((g.kind[-1] for g in circuit.gates if g.kind != CZ), "X")
     target = circuit.target_qubit
     target_var = dict((q, v) for v, q in circuit.layout).get(target)
-    out = []
-    for bits, want in zip(truth.assignments(), truth.values):
-        start = bits[target_var - 1] if target_var is not None else 0
-        rot = rotation_matrix(axis, math.pi * (want ^ start))
-        base = _start_index(circuit, bits) & ~(1 << target)
-        dist = 0.0
-        for c in (0, 1):
-            state = run_row(circuit, bits, index=base | (c << target))
-            expected = np.zeros_like(state)
-            expected[base] = rot[0, c]
-            expected[base | (1 << target)] = rot[1, c]
-            dist = max(dist, float(np.max(np.abs(state - expected) ** 2)))
-        p = p_one(circuit, bits)
-        p_want = p if want else 1.0 - p
-        out.append((p_want >= 1.0 - tol and dist <= tol, dist))
-    return out
+    start = bits[target_var - 1] if target_var is not None else 0
+    rot = rotation_matrix(axis, math.pi * (want ^ start))
+    base = _start_index(circuit, bits) & ~(1 << target)
+    dist = 0.0
+    for c in (0, 1):
+        state = run_row(circuit, bits, index=base | (c << target))
+        expected = np.zeros_like(state)
+        expected[base] = rot[0, c]
+        expected[base | (1 << target)] = rot[1, c]
+        dist = max(dist, float(np.max(np.abs(state - expected) ** 2)))
+    return _p_want(circuit, bits, want) >= 1.0 - tol and dist <= tol, dist
+
+
+def quantum_row(circuit, bits, want, tol: float = 1e-9) -> VerificationRow:
+    """The row ``verify_quantum`` reports for one input whose truth value is
+    ``want``: "p=<p>", with " dU=<distance>" when only the unitary
+    comparison fails."""
+    ok, dist = strict_row(circuit, bits, want, tol)
+    p_want = _p_want(circuit, bits, want)
+    got = f"p={p_want:.12g}"
+    if p_want >= 1.0 - tol and not ok:
+        got += f" dU={dist:.12g}"
+    return VerificationRow(str(want), got, ok)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcascade.cascade import (VerificationRow, canonical_cascade, detect_symmetry,
-                              reduce_by_symmetry, simplify, verify_classical)
-from qcascade.dihedral import GroupElement, evaluate_word, format_element
+from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry, simplify,
+                              verify_classical)
+from qcascade.dihedral import evaluate_word
 from qcascade.quantum import map_to_circuit
 from qcascade.spectral import TruthVector, spectrum_exact, spectrum_mod
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
-from reference_fold import fold_row, fold_rows
+from reference_fold import classical_row, fold_rows
 from reference_simplify import simplify_reference
 
 
@@ -340,24 +340,10 @@ def test_verify_classical_mgd_rows_equal_per_row_reference():
             wrong = TruthVector(n, [v + x % 2 for x, v in enumerate(truth.values)])
             for word in (canonical, simplify(canonical)):
                 for t in (truth, wrong):
-                    want = []
-                    for bits, value in zip(t.assignments(), t.values):
-                        got, expected = fold_row(word, bits), GroupElement(value % order)
-                        want.append(VerificationRow(bits, format_element(expected, order),
-                                                    format_element(got, order), got == expected))
-                    assert verify_classical(word, t).rows == tuple(want)
-
-
-def _eqb_row(word, bits, want):
-    """The classical check of one EQB row, from the per-row fold."""
-    net, refl = fold_row(word, bits)
-    got = f"{net} g" if refl else f"{net}"
-    if word.target_var is None:
-        return VerificationRow(bits, str(want), got, not refl and net == want)
-    if refl or net not in (0, 1):
-        return VerificationRow(bits, str(want), got, False)
-    out_bit = bits[word.target_var - 1] ^ int(net)
-    return VerificationRow(bits, str(want), str(out_bit), out_bit == want)
+                    rows = verify_classical(word, t).rows
+                    assert len(rows) == 1 << n
+                    for x, bits in enumerate(itertools.product((0, 1), repeat=n)):
+                        assert rows[x] == classical_row(word, bits, t.values[x])
 
 
 def test_verify_classical_eqb_rows_equal_per_row_reference():
@@ -377,10 +363,10 @@ def test_verify_classical_eqb_rows_equal_per_row_reference():
                 # a second truth table with every other row changed gives failing rows
                 wrong = TruthVector(n, [v + x % 2 for x, v in enumerate(t.values)])
                 for table in (t, wrong):
-                    want = tuple(_eqb_row(word, bits, v)
-                                 for bits, v in zip(table.assignments(), table.values))
                     rows = verify_classical(word, table).rows
-                    assert rows == want
+                    assert len(rows) == 1 << n
+                    for x, bits in enumerate(itertools.product((0, 1), repeat=n)):
+                        assert rows[x] == classical_row(word, bits, table.values[x])
                     texts.update(row.got for row in rows)
     assert {"1/4 g", "-1/4", "0 g", "1"} <= texts
 
@@ -398,6 +384,20 @@ def test_verify_classical_flags_mismatch():
     report = verify_classical(word, wrong)
     assert not report.passed
     assert [row.ok for row in report.rows] == [True, True, True, False]
+    assert report.first_failure == 3
+
+
+def test_first_failure_is_the_failing_row_index_even_at_row_zero():
+    # index 0 is falsy, so a truthiness test on first_failure would call
+    # this report passed
+    truth = TruthVector(2, (0, 1, 1, 0))
+    word = simplify(canonical_cascade(spectrum_exact(truth)))
+    report = verify_classical(word, TruthVector(2, (1, 1, 1, 0)))
+    assert [row.ok for row in report.rows] == [False, True, True, True]
+    assert report.first_failure == 0 and type(report.first_failure) is int
+    assert report.passed is False
+    assert report.counts() == "3/4"
+    assert verify_classical(word, truth).first_failure is None
 
 
 @pytest.mark.parametrize("control", [1.5, 2.0, "2", True, None])

@@ -24,7 +24,9 @@ from qcascade.quantum import interaction_graph
 from qcascade.spectral import TruthVector
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_parser import build_subcommand_parser
+from reference_fold import classical_row
 from reference_report import report_mapping, report_text
+from reference_statevector import quantum_row
 
 XOR_JOB = '{"n": 2, "truth": "0110"}'
 MGD_JOB = '{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3}'
@@ -404,7 +406,7 @@ def test_pipeline_error_carries_stage(monkeypatch):
 def test_report_mapping_is_deterministic_and_versioned():
     report = run_pipeline(parse_job(XOR_JOB))
     doc = report_to_mapping(report)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert "timings" not in doc
     assert doc["passed"] is True
     assert doc["spectrum"] == {"coefficients": ["1/2", "0", "0", "-1/2"]}
@@ -448,7 +450,7 @@ def test_emit_writes_requested_files(tmp_path):
     assert qasm.startswith("OPENQASM 2.0;\n")
     assert "rx(pi/2) q[1];" in qasm
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     rows = (tmp_path / "trace.csv").read_text().splitlines()
     assert rows[0] == "step,gate,theta,phi"
     last = rows[-1].split(",")
@@ -515,11 +517,6 @@ def test_report_json_equals_stdlib_encoding_on_seeded_jobs(tmp_path):
         data = (tmp_path / "report.json").read_bytes()
         assert data == report_text(report).encode(), doc
         assert report_to_mapping(report) == json.loads(data), doc
-        for kind in ("classical", "quantum"):
-            if getattr(report, kind) is not None:
-                assert ([row["input"] for row in mapping["verification"][kind]["rows"]]
-                        == ["".join(map(str, row.assignment))
-                            for row in getattr(report, kind).rows]), doc
         want = json.dumps(mapping, indent=2, sort_keys=True) + "\n"
         assert _reindented(data) == want.encode(), doc
     assert {0, 1} <= gate_counts
@@ -543,40 +540,47 @@ def test_report_json_keeps_its_bytes_with_unshared_gates(tmp_path):
 
 
 def test_report_json_encodes_each_distinct_gate_once(tmp_path, monkeypatch):
-    """Each distinct gate entry and each distinct row verdict is encoded
-    once."""
+    """Each distinct gate entry and each distinct row verdict of each oracle
+    is encoded once."""
     rng = random.Random(7)
-    doc = {"n": 7, "truth": [rng.randrange(5) for _ in range(128)], "mode": "mgd", "dihedral_n": 5}
-    report = run_pipeline(parse_job(json.dumps(doc)))
-    gates, rows = [], []
-    dumps = json.dumps
+    for doc in ({"n": 7, "truth": [rng.randrange(5) for _ in range(128)], "mode": "mgd",
+                 "dihedral_n": 5},
+                {"n": 6, "truth": "".join(str(rng.getrandbits(1)) for _ in range(64))}):
+        report = run_pipeline(parse_job(json.dumps(doc)))
+        gates, rows = [], []
+        dumps = json.dumps
 
-    def counting_dumps(obj, **kw):
-        if isinstance(obj, dict) and "kind" in obj:
-            gates.append(obj)
-        if isinstance(obj, dict) and "expected" in obj:
-            rows.append((obj["expected"], obj["got"]))
-        return dumps(obj, **kw)
-    monkeypatch.setattr(json, "dumps", counting_dumps)
-    emit(report, ["json"], tmp_path)
-    monkeypatch.undo()
-    distinct = len({id(g) for g in report.circuit.gates})
-    assert len(report.circuit.gates) > distinct > 0
-    assert len(gates) == distinct
-    verdicts = {(row.expected, row.got) for row in report.classical.rows}
-    assert len(report.classical.rows) > len(verdicts)
-    assert sorted(rows) == sorted(verdicts)
-    assert (tmp_path / "report.json").read_text() == report_text(report)
+        def counting_dumps(obj, **kw):
+            if isinstance(obj, dict) and "kind" in obj:
+                gates.append(obj)
+            if isinstance(obj, dict) and "expected" in obj:
+                rows.append((obj["expected"], obj["got"], obj["ok"]))
+            return dumps(obj, **kw)
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        emit(report, ["json"], tmp_path)
+        monkeypatch.undo()
+        distinct = len({id(g) for g in report.circuit.gates})
+        assert len(report.circuit.gates) > distinct > 0
+        assert len(gates) == distinct
+        verdicts = []
+        for check in report.checks:
+            assert len(check.rows) > len(set(check.rows))
+            verdicts += set(check.rows)
+        assert sorted(rows) == sorted(verdicts)
+        assert (tmp_path / "report.json").read_text() == report_text(report)
 
 
 # a^1 g[x1] a^1 g[x2] reads 0 on every row but leaves -I, Z or -Z on three
 _GAP = CascadeWord(2, (Rot(Fraction(1)), Refl({1}), Rot(Fraction(1)), Refl({2})))
 
 
-@pytest.mark.parametrize("case", ["gap-x", "gap-y", "mgd-shifted"])
-def test_failing_report_json_equals_stdlib_encoding(case, tmp_path, monkeypatch):
-    """Rows that fail, quantum rows with a dU distance and a report that
-    does not pass keep the bytes of the stdlib encoding."""
+_FAILING_CASES = ("gap-x", "gap-y", "mgd-shifted")
+
+
+def _failing_report(case, monkeypatch) -> cli.SynthesisReport:
+    """A report that does not pass: the gap word in basis X or Y (quantum
+    rows with a dU distance), or an MGD word with a^1 in front (no row
+    passes)."""
     simplify = cli.simplify
     if case == "mgd-shifted":
         rng = random.Random(19)
@@ -593,6 +597,14 @@ def test_failing_report_json_equals_stdlib_encoding(case, tmp_path, monkeypatch)
     report = run_pipeline(parse_job(json.dumps(doc)))
     monkeypatch.undo()
     assert not report.passed
+    return report
+
+
+@pytest.mark.parametrize("case", _FAILING_CASES)
+def test_failing_report_json_equals_stdlib_encoding(case, tmp_path, monkeypatch):
+    """Rows that fail, quantum rows with a dU distance and a report that
+    does not pass keep the bytes of the stdlib encoding."""
+    report = _failing_report(case, monkeypatch)
     emit(report, ["json"], tmp_path)
     data = (tmp_path / "report.json").read_text()
     assert data == report_text(report)
@@ -601,6 +613,31 @@ def test_failing_report_json_equals_stdlib_encoding(case, tmp_path, monkeypatch)
         assert not any(row.ok for row in report.classical.rows)
     else:
         assert " dU=4" in data and '"got": "p=1 dU=4"' in data
+
+
+def test_report_json_row_x_is_input_x(tmp_path, monkeypatch):
+    """Row x of each oracle in report.json is the per-row reference verdict
+    for input x, x1 most significant: the fold of the final word for
+    classical rows, full statevectors for quantum rows.  No row names its
+    input."""
+    reports = [run_pipeline(parse_job(json.dumps(doc))) for doc in _sweep_jobs()]
+    reports += [_failing_report(case, monkeypatch) for case in _FAILING_CASES]
+    for report in reports:
+        emit(report, ["json"], tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_bytes())
+        assert doc["schema_version"] == 3
+        n, values = report.job.n, report.job.truth.values
+        classical, quantum = doc["verification"]["classical"], doc["verification"]["quantum"]
+        assert len(classical["rows"]) == 1 << n
+        assert (quantum is None) == (report.quantum is None)
+        for x in range(1 << n):
+            bits = tuple(int(b) for b in format(x, f"0{n}b"))
+            want = dict(zip(("expected", "got", "ok"), classical_row(report.word, bits, values[x])))
+            assert classical["rows"][x] == want, (report.job, x)
+            if quantum is not None:
+                want = quantum_row(report.circuit, bits, values[x])._asdict()
+                assert quantum["rows"][x] == want, (report.job, x)
+    assert any(not report.passed for report in reports)
 
 
 @st.composite
@@ -747,30 +784,31 @@ def test_main_exits_one_when_an_artifact_cannot_be_opened(tmp_path, capsys):
 # its modulus field.  All four report.json hashes are pinned again for
 # schema_version 2, which drops the fields other fields fix: connectivity's
 # is_star, triangle_free and centers (every QCircuit is a star on its
-# target) and spectrum.modulus (job.dihedral_n); no other byte moved
+# target) and spectrum.modulus (job.dihedral_n); no other byte moved.  And
+# again for schema_version 3, whose rows drop "input" (row x is input x)
 GOLDEN_EMIT = {
     ("--n", "3", "--truth", "01101001", "--input", "101"): {
         "word.txt": "a3bfa3139c4c160efcd4408ed070a7fa9e7bfc9762a309af9e44f7130f650597",
         "circuit.qasm": "d6eecabda42d20df169dce58ce489987ca2cf9bd5ecc0f3f7deebcbf4383dcee",
-        "report.json": "272a251b34c734c5a5b915e2f42772f5ff2d97385d56149a1566ac6241d317d5",
+        "report.json": "25e807f0c51edf108ce2cd89ae1dc8fe7b6c9e3d67551217014eff41c426dcc1",
         "trace.csv": "3c79aa13d3a81a1ee59902903197fd3ea1482025e8eb00ba33eb5b03c04352ee",
     },
     ("--n", "4", "--truth", "0110100110010110", "--basis", "y", "--input", "0111"): {
         "word.txt": "59dca8fed53a95f945abccdd9b3cf0becf38f9574457f8f945dba52f8ab9c4e8",
         "circuit.qasm": "80f3c61153663c273baac678c0ead4ca02fcdc9bbf2e07bad71d9f17dc591106",
-        "report.json": "f3871c500ae257a919a337b7c70e1fe8763a531ca012af381e69bdb9481f9013",
+        "report.json": "061db068f8485d8b56cab1fd7ba43cc5bfb53a73abd96ec5cba4d792b9fd5107",
         "trace.csv": "eed6c37878a19936753ad4183ecf83980939b73ec01ee16fdde6fd5c4098b6fb",
     },
     ("--n", "4", "--truth", "0111010011101000", "--input", "1100"): {
         "word.txt": "f72ebb4e8b2fed64bcfc145d25a8741bb50e28484c2aa98cf551030148495b83",
         "circuit.qasm": "78f3b4fa7bbb3cb1aea578e4b1901089f644bf5fa54f0a179bc01c45dc2b1af9",
-        "report.json": "f337e7561056e097b98515321310709dd239bf6a410661721fb80e96532bdf75",
+        "report.json": "5672bf03a40e5f1a88569c9b013e0c3b5f08996bca16f82a19d648da9cb65aab",
         "trace.csv": "2043bf5e9436b3b31fe6ea0af2fdf40e53f9ef0e9bc73d652d1dced76cc075f4",
     },
     ("--n", "3", "--truth", "04213043", "--mode", "mgd", "--dihedral-n", "5", "--input", "010"): {
         "word.txt": "661a7e2496aaff88666ecbdf7b91a802bdba4e3f0b5a2f690cb55538619cc7ff",
         "circuit.qasm": "96d755f1ddf524358950cacff9f985056b0de346bec31f8f19a6bfe123c3aeeb",
-        "report.json": "10512a0168d3a50ee392d953955594c96ca98c36be299674ce71af077d02c17d",
+        "report.json": "24d0cbfe2fd2f8dce733ed5c140a719cbd8ec111d6ceed1e24dae77f5e08ff29",
         "trace.csv": "f05eea71a915a77fcfd13a630b9c824ac3f615ecfbf72c7e6841488523636572",
     },
 }
@@ -1022,7 +1060,7 @@ def test_main_bad_json_reports_position(tmp_path, capsys):
 def test_main_verification_failure_exits_two(monkeypatch, capsys):
     import qcascade.cli as cli
 
-    failing = VerificationReport("quantum", (VerificationRow((0, 0), "0", "p=0", False),))
+    failing = VerificationReport("quantum", (VerificationRow("0", "p=0", False),))
     monkeypatch.setattr(cli, "verify_quantum", lambda circuit, truth: failing)
     assert main(["synth", "--n", "2", "--truth", "0110"]) == 2
     assert "result: FAIL" in capsys.readouterr().out

@@ -429,7 +429,7 @@ def test_verify_quantum_catches_a_leftover_reflection_the_probability_misses():
         report = verify_quantum(map_to_circuit(word, basis=basis), truth)
         assert report.counts() == "1/4"
         assert [row.got for row in report.rows] == ["p=1 dU=4"] * 3 + ["p=1"]
-        assert report.first_failure is report.rows[0]
+        assert report.first_failure == 0
 
 
 @pytest.mark.parametrize("gates, value, ok, got", [

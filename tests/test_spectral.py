@@ -24,13 +24,6 @@ def test_truth_vector_takes_integers_only():
             TruthVector(1, (0, bad))
 
 
-def test_truth_vector_row_order():
-    # x1 is the most significant index bit
-    t = TruthVector(2, (0, 1, 2, 3))
-    assert list(zip(t.assignments(), t.values)) == [((0, 0), 0), ((0, 1), 1),
-                                                    ((1, 0), 2), ((1, 1), 3)]
-
-
 def test_walsh_matrix_base():
     assert walsh_matrix(1).tolist() == [[1, 1], [1, -1]]
 

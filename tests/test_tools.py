@@ -1,12 +1,14 @@
 import ast
 import importlib
 import importlib.util
+import itertools
 import json
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+from qcascade.cascade import VerificationReport, VerificationRow
 from qcascade.cli import JobSpec, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,3 +90,22 @@ def test_sweep_eqb_reports_each_failure_and_exits_1(monkeypatch, capsys):
     assert lines[:4] == [f"FAIL truth={t}: PipelineError: stage 'map': boom"
                          for t in ("00", "01", "10", "11")]
     assert lines[4].startswith("n=1: 4 functions, 4 failures, ")
+
+
+def test_sweep_eqb_names_the_first_failing_row(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("sweep_eqb", ROOT / "tools" / "sweep_eqb.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    run_pipeline = sweep.run_pipeline
+
+    def failing_at_row_2(job):  # the quantum check fails at input x1 x2 = 10 only
+        report = run_pipeline(job)
+        rows = list(report.quantum.rows)
+        rows[2] = VerificationRow(rows[2].expected, "p=0", False)
+        return replace(report, quantum=VerificationReport("quantum", tuple(rows)))
+    monkeypatch.setattr(sweep, "run_pipeline", failing_at_row_2)
+    assert sweep.main(["--n", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    truths = ["".join(t) for t in itertools.product("01", repeat=4)]
+    assert lines[:16] == [f"FAIL truth={t}: quantum row 10: expected {t[2]}, got p=0" for t in truths]
+    assert lines[16].startswith("n=2: 16 functions, 16 failures, ")

@@ -20,7 +20,7 @@ import json
 import sys
 import time
 
-from qcascade.cli import JobError, PipelineError, parse_job, run_pipeline
+from qcascade.cli import JobError, PipelineError, _row_text, parse_job, run_pipeline
 
 
 def failure(n: int, truth: str) -> str | None:
@@ -30,10 +30,8 @@ def failure(n: int, truth: str) -> str | None:
     except (JobError, PipelineError) as e:
         return f"{type(e).__name__}: {e}"
     for check in report.checks:
-        row = check.first_failure
-        if row is not None:
-            return (f"{check.kind} row {''.join(map(str, row.assignment))}: "
-                    f"expected {row.expected}, got {row.got}")
+        if check.first_failure is not None:
+            return f"{check.kind} row {_row_text(check, check.first_failure)}"
     return None
 
 
