@@ -1,10 +1,13 @@
 """Canonical rotation-reflection cascades and local-rewrite simplification.
 
-The canonical word interleaves one rotation per spectral coefficient with
-reflection blocks on a ruler schedule: after the k-th rotation (k = 1..2^n)
-it emits g^(x_(n-i)) for every i with 2^i dividing k, innermost variable
-first.  That yields exactly 3*2^n - 2 letters and evaluates to a^F(x) on
-every assignment.
+The canonical word applies spectral coefficient s_M while the prefix
+reflection mask is M (bit i of M standing for x_(n-i)), with the masks in
+reflected-binary Gray order, the standard schedule for uniformly controlled
+rotations (Mottonen et al. 2004, quant-ph/0404089): rotation k (k = 0..2^n-1)
+is a^(s_M) with M = k ^ (k >> 1), followed by g^(x_v) for the one variable
+that changes next, x_1 after the last rotation, which returns the mask to 0.
+That yields exactly 2^(n+1) letters (one for n = 0) and evaluates to a^F(x)
+on every assignment.
 """
 
 from __future__ import annotations
@@ -21,17 +24,19 @@ def canonical_cascade(spectrum: WalshSpectrum) -> CascadeWord:
     """Expand a spectrum into the unsimplified canonical cascade word, over
     D_m for a spectrum taken modulo m and over the infinite group otherwise."""
     n = spectrum.n
-    # one object per distinct letter; the i < n with 2^i dividing k are the
-    # first min(v + 1, n), where 2^v = k & -k
-    refls = [Refl(frozenset({n - i})) for i in range(n)]
+    # one object per distinct letter, reflections keyed by their mask bit
+    refl_of = {1 << i: Refl(frozenset({n - i})) for i in range(n)}
     # keyed by coefficient object: spectrum_exact shares equal Fractions, so
     # this hashes none of them
     distinct = {id(c): c for c in spectrum.coeffs}
     rot_of = {key: Rot(c) for key, c in distinct.items()}
+    masks = [k ^ (k >> 1) for k in range(1 << n)]
     letters: list[Letter] = []
-    for k, c in enumerate(spectrum.coeffs, 1):
-        letters.append(rot_of[id(c)])
-        letters += refls[:min((k & -k).bit_length(), n)]
+    # each mask differs from the next in one bit, and the last from mask 0
+    for mask, following in zip(masks, masks[1:] + masks[:1]):
+        letters.append(rot_of[id(spectrum.coeffs[mask])])
+        if mask != following:
+            letters.append(refl_of[mask ^ following])
     return CascadeWord(n, tuple(letters), spectrum.modulus)
 
 

@@ -10,7 +10,6 @@ R(theta + 4*pi) = R(theta) exactly and angles are kept in (-2*pi, 2*pi].
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections import Counter
@@ -190,11 +189,10 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
 
     All rows run at once in real arithmetic, as one (2, 2 * 2^n) array
     whose column c * 2^n + x holds U_x|c>: one 2x2 matmul per rotation and
-    one sign vector per run of consecutive CZ gates.  An RX circuit runs as
-    the RY circuit with the same angles, since S RX(theta) S^dag = RY(theta)
-    and S Z S^dag = Z for S = diag(1, i): that conjugation changes only the
-    phases of U_x's entries, and it maps the expected RX(pi * b) to
-    RY(pi * b).
+    one sign vector per CZ gate.  An RX circuit runs as the RY circuit with
+    the same angles, since S RX(theta) S^dag = RY(theta) and S Z S^dag = Z
+    for S = diag(1, i): that conjugation changes only the phases of U_x's
+    entries, and it maps the expected RX(pi * b) to RY(pi * b).
     """
     if not truth.is_boolean:
         raise ValueError("quantum verification expects a Boolean truth vector")
@@ -210,28 +208,19 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
     u = np.zeros((2, 2 * size))
     u[0, :size] = u[1, size:] = 1.0
     buf = np.empty_like(u)
-    # one matrix per distinct rotation and one sign vector per distinct CZ
-    # run, keyed by gate identity (map_to_circuit shares equal gates)
-    mats: dict[int, np.ndarray] = {}
-    flips: dict[tuple[int, ...], np.ndarray] = {}
-    for kind, group in itertools.groupby(circuit.gates, key=operator.attrgetter("kind")):
-        if kind == CZ:
-            run = tuple(group)
-            key = tuple(map(id, run))
-            flip = flips.get(key)
-            if flip is None:
-                parity = 0
-                for gate in run:
-                    if gate.control in bit_of:
-                        parity = parity ^ bit_of[gate.control]
-                flip = flips[key] = 1.0 - 2.0 * parity
-            u[1] *= flip
-            continue
-        for gate in group:
-            mat = mats.get(id(gate))
-            if mat is None:
-                mat = mats[id(gate)] = rotation_matrix("Y", gate.angle).real
-            np.matmul(mat, u, out=buf)
+    # one matrix per distinct rotation and one sign vector per distinct CZ,
+    # keyed by gate identity (map_to_circuit shares equal gates); a CZ from
+    # a qubit that holds no input sees |0> and flips no sign
+    ops: dict[int, np.ndarray | float] = {}
+    for gate in circuit.gates:
+        op = ops.get(id(gate))
+        if op is None:
+            op = ops[id(gate)] = (1.0 - 2.0 * bit_of.get(gate.control, 0) if gate.kind == CZ
+                                  else rotation_matrix("Y", gate.angle).real)
+        if gate.kind == CZ:
+            u[1] *= op
+        else:
+            np.matmul(op, u, out=buf)
             u, buf = buf, u
     want = np.array(truth.values)
     start = bit_of[target][:size] if target in bit_of else 0

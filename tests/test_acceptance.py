@@ -66,13 +66,13 @@ def test_criterion_2_canonical_length_law():
     rng = random.Random(2)
     t0 = time.perf_counter()
     mismatches = []
-    for n in range(1, 11):
+    for n in range(0, 11):
         word = canonical_cascade(spectrum_exact(_random_truth(rng, n)))
-        if len(word) != 3 * (1 << n) - 2:
+        if len(word) != (2 << n if n else 1):
             mismatches.append((n, len(word)))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 1.0
-    _report(2, "canonical word has 3*2^n - 2 letters for n = 1..10", ok,
+    _report(2, "canonical word has 2^(n+1) letters for n = 1..10 and 1 at n = 0", ok,
             f"{elapsed * 1e3:.1f} ms" + (f", mismatches {mismatches}" if mismatches else ""))
 
 

@@ -28,36 +28,25 @@ def test_canonical_form_n1():
 
 def test_canonical_form_n2():
     word = canonical_cascade(spectrum_mod(TruthVector(2, (0, 1, 1, 0)), 3))
-    assert word.letters == (Rot(-1), Refl({2}),
-                            Rot(0), Refl({2}), Refl({1}),
-                            Rot(0), Refl({2}),
-                            Rot(1), Refl({2}), Refl({1}))
+    assert word.letters == (Rot(-1), Refl({2}), Rot(0), Refl({1}),
+                            Rot(1), Refl({2}), Rot(0), Refl({1}))
     assert word.order == 3
 
 
 def test_canonical_reflection_blocks_n3():
+    # in Gray order every block is one reflection: the variable whose mask
+    # bit changes next, and x1 last to return the mask to 0
     word = canonical_cascade(spectrum_exact(TruthVector(3, [0] * 8)))
-    sizes = []
-    run = 0
-    for letter in word.letters:
-        if isinstance(letter, Rot):
-            if run:
-                sizes.append(run)
-            run = 0
-        else:
-            run += 1
-    sizes.append(run)
-    assert sizes == [1, 2, 1, 3, 1, 2, 1, 3]
-    # each block lists the innermost variable first
-    assert [v for letter in word.letters if isinstance(letter, Refl) for v in letter.controls][:6] == \
-        [3, 3, 2, 3, 3, 2]
+    assert [type(letter) for letter in word.letters] == [Rot, Refl] * 8
+    assert [v for letter in word.letters[1::2] for v in letter.controls] == \
+        [3, 2, 3, 1, 3, 2, 3, 1]
 
 
 def test_canonical_letter_count_law():
     rng = random.Random(5)
     for n in range(1, 11):
         word = canonical_cascade(spectrum_exact(random_truth(rng, n)))
-        assert len(word) == 3 * (1 << n) - 2
+        assert len(word) == 2 << n
 
 
 def test_canonical_cascade_builds_each_distinct_letter_once():
@@ -69,12 +58,44 @@ def test_canonical_cascade_builds_each_distinct_letter_once():
             spectra.append(spectrum_mod(multi, order))
         for spectrum in spectra:
             word = canonical_cascade(spectrum)
+            # rotation k applies the coefficient of the Gray code of k; the
+            # reflection after it flips the lowest set bit of k + 1 (bit i is
+            # x_{n-i}), and the last one is x1, which returns the mask to 0
             fresh = []
-            for k, c in enumerate(spectrum.coeffs, 1):
-                fresh.append(Rot(c))
-                fresh += [Refl({n - i}) for i in range(n) if k % (1 << i) == 0]
+            for k in range(1 << n):
+                fresh.append(Rot(spectrum.coeffs[k ^ (k >> 1)]))
+                step = (k + 1) & -(k + 1)
+                fresh.append(Refl({n - step.bit_length() + 1 if k + 1 < 1 << n else 1}))
             assert word.letters == tuple(fresh)
             assert len({id(letter) for letter in word.letters}) <= n + len(set(spectrum.coeffs))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 8), st.sampled_from((None, 3, 5, 7)), st.randoms(use_true_random=False))
+def test_canonical_cascade_follows_gray_order(n, order, rng):
+    values = [rng.randrange(order or 2) for _ in range(1 << n)]
+    truth = TruthVector(n, values)
+    spectrum = spectrum_exact(truth) if order is None else spectrum_mod(truth, order)
+    word = canonical_cascade(spectrum)
+    letters = word.letters
+    assert len(letters) == (2 << n if n else 1)
+    assert all(isinstance(letter, Rot) for letter in letters[0::2])
+    assert all(isinstance(letter, Refl) and len(letter.controls) == 1 for letter in letters[1::2])
+    # rotation k applies s_M while the prefix reflection mask M (bit n - v
+    # for x_v) is the Gray code of k
+    mask = 0
+    for k, (rot, refl) in enumerate(itertools.zip_longest(letters[0::2], letters[1::2])):
+        assert mask == k ^ (k >> 1)
+        assert rot.exponent == spectrum.coeffs[mask]
+        if refl is not None:
+            (v,) = refl.controls
+            mask ^= 1 << (n - v)
+    assert mask == 0
+    assert len({id(letter) for letter in letters}) <= n + len(set(spectrum.coeffs))
+    assert map_to_circuit(simplify(word)).gate_counts()["CZ"] <= 1 << n
+    if order is None and n:
+        odd = TruthVector(n, [h ^ b for h in values[0::2] for b in (0, 1)])
+        assert map_to_circuit(reduce_by_symmetry(odd)).gate_counts()["CZ"] <= 1 << (n - 1)
 
 
 def test_canonical_cascade_takes_the_group_from_the_spectrum():

@@ -785,31 +785,34 @@ def test_main_exits_one_when_an_artifact_cannot_be_opened(tmp_path, capsys):
 # schema_version 2, which drops the fields other fields fix: connectivity's
 # is_star, triangle_free and centers (every QCircuit is a star on its
 # target) and spectrum.modulus (job.dihedral_n); no other byte moved.  And
-# again for schema_version 3, whose rows drop "input" (row x is input x)
+# again for schema_version 3, whose rows drop "input" (row x is input x).
+# The canonical word in Gray order re-pins every hash that depends on the
+# word: both report.json files whose simplified word did not move (their
+# canonical word did), and all four files of the other two jobs
 GOLDEN_EMIT = {
     ("--n", "3", "--truth", "01101001", "--input", "101"): {
         "word.txt": "a3bfa3139c4c160efcd4408ed070a7fa9e7bfc9762a309af9e44f7130f650597",
         "circuit.qasm": "d6eecabda42d20df169dce58ce489987ca2cf9bd5ecc0f3f7deebcbf4383dcee",
-        "report.json": "25e807f0c51edf108ce2cd89ae1dc8fe7b6c9e3d67551217014eff41c426dcc1",
+        "report.json": "5722ac27ac59d415419e749da1073759fe790ddc019dedb5e53ff6f47b5be232",
         "trace.csv": "3c79aa13d3a81a1ee59902903197fd3ea1482025e8eb00ba33eb5b03c04352ee",
     },
     ("--n", "4", "--truth", "0110100110010110", "--basis", "y", "--input", "0111"): {
         "word.txt": "59dca8fed53a95f945abccdd9b3cf0becf38f9574457f8f945dba52f8ab9c4e8",
         "circuit.qasm": "80f3c61153663c273baac678c0ead4ca02fcdc9bbf2e07bad71d9f17dc591106",
-        "report.json": "061db068f8485d8b56cab1fd7ba43cc5bfb53a73abd96ec5cba4d792b9fd5107",
+        "report.json": "bd2d5aa12afb4dfd21fd33e326149cfb9aa0670ea0fdcef5608c7073173cd03d",
         "trace.csv": "eed6c37878a19936753ad4183ecf83980939b73ec01ee16fdde6fd5c4098b6fb",
     },
     ("--n", "4", "--truth", "0111010011101000", "--input", "1100"): {
-        "word.txt": "f72ebb4e8b2fed64bcfc145d25a8741bb50e28484c2aa98cf551030148495b83",
-        "circuit.qasm": "78f3b4fa7bbb3cb1aea578e4b1901089f644bf5fa54f0a179bc01c45dc2b1af9",
-        "report.json": "5672bf03a40e5f1a88569c9b013e0c3b5f08996bca16f82a19d648da9cb65aab",
-        "trace.csv": "2043bf5e9436b3b31fe6ea0af2fdf40e53f9ef0e9bc73d652d1dced76cc075f4",
+        "word.txt": "e54a875a6f84e98c8a03d939bc0caebf2a30181d16e1328c379f9484be5213c0",
+        "circuit.qasm": "5a90c30b8ecce969f032bcdadacfd158c3bccb1d0ad31cf8d0966d3534ecd758",
+        "report.json": "22fe4194fc6169bbd8ab93c4168649041b3583b190ba2eb8d155f5518e33d8be",
+        "trace.csv": "76406afcbd6669734e8bb15512d1d0cc54c2cc221451664516c97065af2a7a8e",
     },
     ("--n", "3", "--truth", "04213043", "--mode", "mgd", "--dihedral-n", "5", "--input", "010"): {
-        "word.txt": "661a7e2496aaff88666ecbdf7b91a802bdba4e3f0b5a2f690cb55538619cc7ff",
-        "circuit.qasm": "96d755f1ddf524358950cacff9f985056b0de346bec31f8f19a6bfe123c3aeeb",
-        "report.json": "24d0cbfe2fd2f8dce733ed5c140a719cbd8ec111d6ceed1e24dae77f5e08ff29",
-        "trace.csv": "f05eea71a915a77fcfd13a630b9c824ac3f615ecfbf72c7e6841488523636572",
+        "word.txt": "9bcb8d9bf9f96526d476365bc32fa4199149112527e73d6114ee92b61ebb1a3f",
+        "circuit.qasm": "84d7a4e6cdd59caad2020c5ec8157c2094e0d488ca96ffba316b71aff0da3ac8",
+        "report.json": "a315aa916f026018b7483b8b68f0a0b477daadffe21d104e1b7bb83ab3c5de0d",
+        "trace.csv": "3d97c5b4a75b757bae27c415e292d0271528c365f925a6509969b9ef8ba886db",
     },
 }
 

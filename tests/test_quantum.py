@@ -432,6 +432,24 @@ def test_verify_quantum_catches_a_leftover_reflection_the_probability_misses():
         assert report.first_failure == 0
 
 
+def test_a_cz_from_an_idle_qubit_flips_no_sign():
+    # q[2] holds no input, so it stays |0> and its CZ acts as the identity;
+    # the same CZ from the input qubit q[1] turns row x1 = 1 into Z
+    half = Gate(RX, 0, pi_frac=Fraction(1, 2))
+    truth = TruthVector(1, (1, 1))
+    idle = QCircuit(3, (half, Gate(CZ, 0, control=2), half), 0, ((1, 1),))
+    bare = QCircuit(3, (half, half), 0, ((1, 1),))
+    wired = QCircuit(3, (half, Gate(CZ, 0, control=1), half), 0, ((1, 1),))
+    report = verify_quantum(idle, truth)
+    assert report == verify_quantum(bare, truth)
+    assert [row.ok for row in report.rows] == [ok for ok, _ in strict_rows(idle, truth)] == [True] * 2
+    assert [row.ok for row in verify_quantum(wired, truth).rows] == [True, False]
+    for bits in ("0", "1"):
+        trace = bloch_trace(idle, bits)
+        assert trace[2] == trace[1]
+        assert trace[:2] + trace[3:] == bloch_trace(bare, bits)
+
+
 @pytest.mark.parametrize("gates, value, ok, got", [
     ((), 0, True, "p=1"),
     ((), 1, False, "p=0"),

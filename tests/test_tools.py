@@ -21,8 +21,9 @@ def test_bench_pipeline_writes_stage_medians(tmp_path):
                    check=True, capture_output=True, env={"PYTHONPATH": str(ROOT / "src")})
     result = json.loads(out.read_text())
     assert sorted(result["sizes"]) == ["2", "3"]
-    for row in result["sizes"].values():
+    for n, row in result["sizes"].items():
         assert row["runs"] == 20 * len(result["seeds"])
+        assert 0 <= row["czs"] <= 1 << int(n)
         assert set(row["stages_s"]) == {"spectrum", "cascade", "simplify", "map",
                                         "verify_classical", "verify_quantum"}
         assert row["total_s"] > 0
@@ -70,17 +71,32 @@ def test_every_flag_sets_a_job_field_or_a_run_option():
     assert dests - job_fields <= {"help", "command", "jobfile", "out_dir", "force_large"}
 
 
-def test_sweep_eqb_passes_every_function_of_two_inputs():
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / "sweep_eqb.py"), "--n", "2"],
+def _sweep(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "sweep.py"), *args],
                           capture_output=True, text=True, env={"PYTHONPATH": str(ROOT / "src")})
+
+
+def _sweep_module():
+    spec = importlib.util.spec_from_file_location("sweep", ROOT / "tools" / "sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_sweep_eqb_passes_every_function_of_two_inputs():
+    done = _sweep("--n", "2")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.startswith("n=2: 16 functions, 0 failures, ")
 
 
+def test_sweep_mgd_passes_every_function_of_two_inputs_over_d3():
+    done = _sweep("--n", "2", "--dihedral-n", "3")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("n=2 over D_3: 81 functions, 0 failures, ")
+
+
 def test_sweep_eqb_reports_each_failure_and_exits_1(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("sweep_eqb", ROOT / "tools" / "sweep_eqb.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = _sweep_module()
 
     def broken(job):
         raise sweep.PipelineError("map", ValueError("boom"))
@@ -93,9 +109,7 @@ def test_sweep_eqb_reports_each_failure_and_exits_1(monkeypatch, capsys):
 
 
 def test_sweep_eqb_names_the_first_failing_row(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("sweep_eqb", ROOT / "tools" / "sweep_eqb.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = _sweep_module()
     run_pipeline = sweep.run_pipeline
 
     def failing_at_row_2(job):  # the quantum check fails at input x1 x2 = 10 only

@@ -4,7 +4,8 @@ Each size runs full EQB synthesis (both checks, symmetry reduction off,
 ``allow_large``) on one random truth table per seed: one untimed warm-up
 run, then several timed runs (three at n >= 12, where a run takes up to
 seconds: a single run there swings wider than most changes it should show).
-It records the median of each stage of ``SynthesisReport.timings``, of
+It records the distinct gate counts (``gates``), the median CZ count
+(``czs``), and the median of each stage of ``SynthesisReport.timings``, of
 their sum, and of the time ``emit`` takes to write the run's report.json
 (``emit_json_s``).  Each size writes into one temporary directory, so every
 timed ``emit_json_s`` after the first overwrites the previous report.json
@@ -39,6 +40,7 @@ import time
 import numpy as np
 
 from qcascade.cli import emit, parse_job, run_pipeline
+from qcascade.quantum import CZ
 
 SIZES = (4, 6, 8, 10, 12, 14)
 SEEDS = (8, 9, 10)
@@ -59,6 +61,7 @@ def _time_runs(job, out_dir: str, samples: dict) -> None:
         if not report.passed:
             raise SystemExit(f"n={job.n} mode={job.mode}: verification failed")
         samples["gates"].add(len(report.circuit.gates))
+        samples["czs"].append(report.circuit.gate_counts()[CZ])
         samples["totals"].append(sum(report.timings.values()))
         for stage, seconds in report.timings.items():
             samples["stages"].setdefault(stage, []).append(seconds)
@@ -69,8 +72,8 @@ def _time_runs(job, out_dir: str, samples: dict) -> None:
 
 
 def bench_size(n: int) -> dict:
-    eqb, mgd = ({"gates": set(), "totals": [], "stages": {}, "emits": [], "report_bytes": 0}
-                for _ in range(2))
+    eqb, mgd = ({"gates": set(), "czs": [], "totals": [], "stages": {}, "emits": [],
+                 "report_bytes": 0} for _ in range(2))
     with tempfile.TemporaryDirectory() as out_dir:
         for seed in SEEDS:
             rng = random.Random(seed)
@@ -83,6 +86,7 @@ def bench_size(n: int) -> dict:
                                  allow_large=True), out_dir, mgd)
     return {"runs": len(eqb["totals"]),
             "gates": sorted(eqb["gates"]),
+            "czs": statistics.median(eqb["czs"]),
             "total_s": statistics.median(eqb["totals"]),
             "stages_s": {stage: statistics.median(v) for stage, v in eqb["stages"].items()},
             "emit_json_s": statistics.median(eqb["emits"]),
@@ -106,6 +110,7 @@ def main(argv=None) -> int:
         result["sizes"][str(n)] = row = bench_size(n)
         stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in row["stages_s"].items())
         print(f"n={n}: total {row['total_s'] * 1e3:.2f} ms over {row['runs']} runs ({stages}), "
+              f"{row['czs']:g} CZs, "
               f"emit json {row['emit_json_s'] * 1e3:.2f} ms ({row['report_bytes']} bytes); "
               f"MGD D_{MGD_ORDER}: total {row['mgd']['total_s'] * 1e3:.2f} ms, emit json "
               f"{row['mgd']['emit_json_s'] * 1e3:.2f} ms ({row['mgd']['report_bytes']} bytes)",
