@@ -43,9 +43,10 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """A synthesis job.  Construction checks every type and value, as
-    ``parse_job`` does for a JSON document (bar the ``--force-large`` size
-    limit), and stores ``emit`` as a tuple."""
+    """A synthesis job.  Construction takes each field in its Python or its
+    document form, checks it as ``parse_job`` does (bar the ``--force-large``
+    limit), and stores ``truth`` as a ``TruthVector``, ``emit`` as a tuple,
+    and a string ``mode`` lower-case and a string ``basis`` upper-case."""
 
     n: int
     truth: TruthVector
@@ -61,14 +62,15 @@ class JobSpec:
         if not _is_int(n):
             raise _type_error("n", "an integer", n)
         if not isinstance(self.truth, TruthVector):
-            raise _type_error("truth", "a TruthVector", self.truth)
+            object.__setattr__(self, "truth", _parse_truth(self.truth, n))
+        for key, fold in (("mode", str.lower), ("basis", str.upper)):
+            if isinstance(value := getattr(self, key), str):
+                object.__setattr__(self, key, fold(value))
         if d is not None and not _is_int(d):
             raise _type_error("dihedral_n", "an integer", d)
         if not isinstance(self.symmetry, bool):
             raise _type_error("symmetry", "true or false", self.symmetry)
-        if not isinstance(self.emit, (list, tuple)):
-            raise JobError("field 'emit': expected a list of targets")
-        object.__setattr__(self, "emit", tuple(self.emit))
+        object.__setattr__(self, "emit", _targets(self.emit, bits))
         if bits is not None and not isinstance(bits, str):
             raise _type_error("trace_input", "a bit string", bits)
         if n < 1:
@@ -92,7 +94,6 @@ class JobSpec:
             raise JobError(f"field 'truth': {rule} (found {self.truth.values[bad[0]]} at row {bad[0]})")
         if self.basis not in ("X", "Y"):
             raise JobError(f"field 'basis': expected 'X' or 'Y', got {self.basis!r}")
-        _check_targets(self.emit, bits)
         if bits is not None and (len(bits) != n or any(c not in "01" for c in bits)):
             raise JobError(f"field 'trace_input': expected {n} bits, got {bits!r}")
 
@@ -119,15 +120,20 @@ def _type_error(key: str, expected: str, value) -> JobError:
     return JobError(f"field '{key}': expected {expected}, got {value!r}")
 
 
-def _check_targets(targets, trace_input: str | None) -> None:
-    """Reject unknown targets, and ``bloch-csv`` without a trace input.
-    ``JobSpec`` checks its own targets with it, ``emit`` the ones it is given."""
+def _targets(targets, trace_input: str | None) -> tuple[str, ...]:
+    """``targets`` (a list, a tuple or a comma-separated string) as a tuple;
+    rejects unknown targets, and ``bloch-csv`` without a trace input."""
+    if isinstance(targets, str):
+        targets = [t for t in targets.split(",") if t]
+    if not isinstance(targets, (list, tuple)):
+        raise JobError("field 'emit': expected a list of targets")
     bad = [t for t in targets if t not in EMIT_TARGETS]
     if bad:
         raise JobError(f"field 'emit': unknown target(s) {', '.join(map(str, bad))} "
                        f"(valid: {', '.join(EMIT_TARGETS)})")
     if trace_input is None and "bloch-csv" in targets:
         raise JobError("emit target 'bloch-csv' needs field 'trace_input' (or --input)")
+    return tuple(targets)
 
 
 def _entries_error(n: int, got: int) -> JobError:
@@ -136,8 +142,7 @@ def _entries_error(n: int, got: int) -> JobError:
     return JobError(f"field 'truth': expected {want} entries for n={n}, got {got}")
 
 
-def _parse_truth(doc: dict, n: int) -> TruthVector:
-    raw = doc["truth"]
+def _parse_truth(raw, n: int) -> TruthVector:
     if isinstance(raw, str):
         if not raw or any(c not in "0123456789" for c in raw):
             raise JobError("field 'truth': expected a digit string or a list of integers")
@@ -155,8 +160,7 @@ def _parse_truth(doc: dict, n: int) -> TruthVector:
 
 
 def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
-    # field names, the size limit and what building the truth vector needs;
-    # JobSpec checks every other type and value
+    # field names, nulls, required fields and the size limit; JobSpec reads the values
     unknown = sorted(set(doc).difference(_JOB_FIELDS))
     if unknown:
         raise JobError(f"unknown field(s): {', '.join(unknown)}")
@@ -164,21 +168,11 @@ def _job_from_mapping(doc: dict, allow_large: bool = False) -> JobSpec:
     for key in ("n", "truth"):
         if key not in doc:
             raise JobError(f"field '{key}': required")
-
     n = doc["n"]
-    if not _is_int(n):
-        raise _type_error("n", "an integer", n)
-    if n > MAX_VARS_DEFAULT and not allow_large:
+    if _is_int(n) and n > MAX_VARS_DEFAULT and not allow_large:
         raise JobError(f"field 'n': {n} exceeds the default limit of {MAX_VARS_DEFAULT} "
                        "(pass --force-large to override)")
-    truth = _parse_truth(doc, n)
-    emit_raw = doc.get("emit", ())
-    if isinstance(emit_raw, str):
-        emit_raw = [t for t in emit_raw.split(",") if t]
-    return JobSpec(n=n, truth=truth, mode=str(doc.get("mode", EQB)).lower(),
-                   dihedral_n=doc.get("dihedral_n"), basis=str(doc.get("basis", "X")).upper(),
-                   symmetry=doc.get("symmetry", True), emit=emit_raw,
-                   trace_input=doc.get("trace_input"))
+    return JobSpec(**doc)
 
 
 def _load_object(text: str) -> dict:
@@ -355,7 +349,7 @@ def emit(report: SynthesisReport, targets, out_dir) -> dict[str, Path]:
     with no fsync.  On ext4, truncating a non-empty file to zero on open
     and writing it took several times as long as writing it in place (ext4's
     ``auto_da_alloc`` flushes a file truncated to zero when it is closed)."""
-    _check_targets(targets, report.job.trace_input)
+    targets = _targets(targets, report.job.trace_input)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}

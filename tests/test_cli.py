@@ -107,6 +107,9 @@ def test_parse_job_accepts_large_n_only_when_forced():
     ('{"n": 1, "truth": [0, 2], "mode": "mgd", "dihedral_n": 3, "modulus": 9}',
      r"unknown field\(s\): modulus"),
     ('{"n": 2, "truth": "0110", "basis": "z"}', "'basis'"),
+    # case is folded on strings only, so another value is quoted as given
+    ('{"n": 2, "truth": "0110", "basis": true}', "'basis': expected 'X' or 'Y', got True$"),
+    ('{"n": 2, "truth": "0110", "mode": ["eqb"]}', r"'mode': .*, got \['eqb'\]$"),
     ('{"n": 2, "truth": "0110", "symmetry": 1}', "true or false"),
     ('{"n": 2, "truth": "0110", "emit": 5}', "list of targets"),
     ('{"n": 2, "truth": "0110", "emit": ["png"]}', "unknown target"),
@@ -132,9 +135,14 @@ def test_job_spec_rejects_fields_its_mode_contradicts(fields_, needle):
         JobSpec(n=2, truth=TruthVector(2, (0, 1, 1, 0)), **fields_)
 
 
-def test_job_spec_takes_a_truth_vector_only():
-    for truth in ("0110", [0, 1, 1, 0]):
-        with pytest.raises(JobError, match="field 'truth': expected a TruthVector, got "):
+def test_job_spec_takes_the_document_forms():
+    doc = {"n": 2, "truth": "0110", "mode": "EQB", "basis": "y", "emit": "word,json"}
+    job = JobSpec(**doc)
+    assert job == parse_job(json.dumps(doc))
+    assert job == JobSpec(n=2, truth=TruthVector(2, (0, 1, 1, 0)), basis="Y",
+                          emit=("word", "json"))
+    for truth in ((0, 1, 1, 0), {"0": 1}):
+        with pytest.raises(JobError, match="field 'truth': expected a string or list, got "):
             JobSpec(n=2, truth=truth)
 
 
@@ -215,24 +223,29 @@ def _job_spec_arguments(draw):
     """JobSpec arguments, drawn near their valid sets so that most checks
     are reached: the truth vector's width usually equals n, dihedral_n is
     usually given exactly in MGD mode, and a scalar field now and then holds
-    a JSON value of the wrong type."""
+    a JSON value of the wrong type.  Fields come in their Python and their
+    document forms: ``truth`` now and then as a digit string or a list,
+    ``mode`` and ``basis`` in either case, and ``emit`` now and then as a
+    comma string."""
     n = draw(st.integers(1, 4))
     width = n if draw(st.integers(0, 3)) else draw(st.integers(1, 4))
     lo, hi = draw(st.sampled_from([(0, 1), (0, 1), (0, 2), (0, 2), (-1, 8)]))
     values = draw(st.lists(st.integers(lo, hi), min_size=1 << width, max_size=1 << width))
-    args = {"n": n, "truth": TruthVector(width, tuple(values))}
+    truth = draw(st.sampled_from([TruthVector(width, tuple(values)), list(values),
+                                  "".join(map(str, values))]))
+    args = {"n": n, "truth": truth}
     if not draw(st.integers(0, 7)):
         args["n"] = draw(st.sampled_from([float(n), n == 1]))
-    mode = draw(st.sampled_from([None, EQB, MGD, MGD, "qft"]))
+    mode = draw(st.sampled_from([None, EQB, MGD, MGD, "qft", "EQB", "Mgd", True, 1, ["eqb"]]))
     if mode is not None:
         args["mode"] = mode
-    if (draw(st.integers(0, 3)) > 0) == (mode == MGD):
+    if (draw(st.integers(0, 3)) > 0) == (str(mode).lower() == MGD):
         args["dihedral_n"] = draw(st.sampled_from([3, 5, 7]) | st.integers(-1, 12)
                                   | st.sampled_from([3.0, 5.0, True]))
     targets = st.lists(st.sampled_from(EMIT_TARGETS + ("png",)), max_size=3)
-    optional = {"basis": st.sampled_from("XYZ"),
+    optional = {"basis": st.sampled_from(["X", "Y", "Z", "x", "y", True, 1, ["x"]]),
                 "symmetry": st.booleans() | st.integers(0, 1) | st.sampled_from(["no", ""]),
-                "emit": targets | targets.map(tuple),
+                "emit": targets | targets.map(tuple) | targets.map(",".join),
                 "trace_input": st.text("01", min_size=n, max_size=n) | st.text("01x", max_size=5)
                 | st.integers(0, 11)}
     for key, value in optional.items():
@@ -251,6 +264,9 @@ def _job_spec_arguments(draw):
 @example({"n": 2, "truth": TruthVector(2, (0, 1, 1, 0)), "mode": MGD, "dihedral_n": 3.0})
 @example({"n": 2, "truth": TruthVector(2, (0, 1, 1, 0)), "trace_input": 10})
 @example({"n": 2, "truth": TruthVector(2, (0, 1, 1, 0)), "emit": ["word"]})
+@example({"n": 2, "truth": TruthVector(2, (0, 1, 1, 0)), "basis": True})
+@example({"n": 2, "truth": "0110", "mode": ["eqb"]})
+@example({"n": 2, "truth": [0, 1, 1, 0], "mode": "EQB", "emit": "word,json"})
 def test_job_spec_rejects_what_parse_job_rejects(args):
     def outcome(build):
         try:
@@ -258,7 +274,8 @@ def test_job_spec_rejects_what_parse_job_rejects(args):
         except JobError as e:
             return str(e)
 
-    doc = {**args, "truth": list(args["truth"].values)}
+    truth = args["truth"]
+    doc = {**args, "truth": list(truth.values) if isinstance(truth, TruthVector) else truth}
     assert outcome(lambda: JobSpec(**args)) == outcome(lambda: parse_job(json.dumps(doc)))
 
 
@@ -461,6 +478,16 @@ def test_emit_bloch_requires_trace_input(tmp_path):
     report = run_pipeline(parse_job(XOR_JOB))
     with pytest.raises(JobError, match="trace_input"):
         emit(report, ("bloch-csv",), tmp_path)
+
+
+def test_emit_reads_a_comma_string_of_targets(tmp_path):
+    report = run_pipeline(parse_job(XOR_JOB))
+    written = emit(report, "word,json", tmp_path / "out")
+    assert list(written) == ["word", "json"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json", "word.txt"]
+    with pytest.raises(JobError, match="field 'emit': expected a list of targets"):
+        emit(report, 5, tmp_path / "none")
+    assert not (tmp_path / "none").exists()
 
 
 def test_emit_checks_every_target_before_writing(tmp_path):
