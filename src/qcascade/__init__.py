@@ -13,8 +13,7 @@ from .cli import (JobError, JobSpec, PipelineError, SynthesisReport, emit,
                   parse_job, run_pipeline)
 from .dihedral import GroupElement, evaluate_word, format_element
 from .quantum import (BlochPoint, Gate, QCircuit, bloch_trace, bloch_trace_csv,
-                      interaction_graph, map_to_circuit, rotation_matrix, to_qasm,
-                      verify_quantum)
+                      interaction_graph, map_to_circuit, to_qasm, verify_quantum)
 from .spectral import (TruthVector, WalshSpectrum, fwht, spectrum_exact, spectrum_mod)
 from .words import EQB, MGD, CascadeWord, Refl, Rot
 
@@ -29,7 +28,7 @@ __all__ = [
     "bloch_trace", "bloch_trace_csv",
     "canonical_cascade", "detect_symmetry", "emit", "evaluate_word",
     "format_element", "fwht", "interaction_graph", "map_to_circuit",
-    "parse_job", "reduce_by_symmetry", "rotation_matrix",
-    "run_pipeline", "simplify", "spectrum_exact", "spectrum_mod",
-    "to_qasm", "verify_classical", "verify_quantum",
+    "parse_job", "reduce_by_symmetry", "run_pipeline", "simplify",
+    "spectrum_exact", "spectrum_mod", "to_qasm", "verify_classical",
+    "verify_quantum",
 ]

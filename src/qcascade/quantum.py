@@ -4,8 +4,15 @@ Standard layout puts the target ancilla on qubit 0 and input variable x_v
 on qubit v; a symmetry-reduced word drops the ancilla, putting x_v on qubit
 v-1 with the last input as target.  Every circuit is a star centred on the
 target: RX/RY rotations of the target and CZ gates joining one input qubit
-to it.  Rotation matrices use the half-angle convention, so
-R(theta + 4*pi) = R(theta) exactly and angles are kept in (-2*pi, 2*pi].
+to it.  Rotations use the half-angle convention, so R(theta + 4*pi) =
+R(theta) exactly and angles are kept in (-2*pi, 2*pi].
+
+All arithmetic is real, in the RY frame: RY(theta) = [[c, -s], [s, c]]
+with c = cos(theta / 2) and s = sin(theta / 2).  An RX circuit is the RY
+circuit with the same angles conjugated by S = diag(1, i), since
+S RX(theta) S^dag = RY(theta) and S Z S^dag = Z.  So from |0> or |1> the
+target of an RX circuit is in the state (a, -i*b), up to a global phase,
+where (a, b) is the real state of the RY circuit.
 """
 
 from __future__ import annotations
@@ -25,19 +32,6 @@ from .words import CascadeWord, Rot
 RX, RY, CZ = "RX", "RY", "CZ"
 GATE_KINDS = frozenset({RX, RY, CZ})
 VERIFY_TOL = 1e-9
-
-
-def rotation_matrix(axis: str, theta: float) -> np.ndarray:
-    """2x2 rotation about the X or Y axis by theta radians."""
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta}")
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    if axis == "X":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if axis == "Y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    raise ValueError(f"unknown rotation axis {axis!r}")
 
 
 @dataclass(frozen=True)
@@ -187,12 +181,11 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
     " dU=<largest squared entry>" appended when only the unitary comparison
     fails.  ``truth.n`` must equal the circuit's number of inputs.
 
-    All rows run at once in real arithmetic, as one (2, 2 * 2^n) array
-    whose column c * 2^n + x holds U_x|c>: one 2x2 matmul per rotation and
-    one sign vector per CZ gate.  An RX circuit runs as the RY circuit with
-    the same angles, since S RX(theta) S^dag = RY(theta) and S Z S^dag = Z
-    for S = diag(1, i): that conjugation changes only the phases of U_x's
-    entries, and it maps the expected RX(pi * b) to RY(pi * b).
+    All rows run at once in the real frame of the module docstring, as one
+    (2, 2 * 2^n) array whose column c * 2^n + x holds U_x|c>: one 2x2
+    matmul per rotation and one sign vector per CZ gate.  An RX circuit
+    runs as its RY circuit: the S conjugation changes only the phases of
+    U_x's entries, and it maps the expected RX(pi * b) to RY(pi * b).
     """
     if not truth.is_boolean:
         raise ValueError("quantum verification expects a Boolean truth vector")
@@ -215,8 +208,12 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
     for gate in circuit.gates:
         op = ops.get(id(gate))
         if op is None:
-            op = ops[id(gate)] = (1.0 - 2.0 * bit_of.get(gate.control, 0) if gate.kind == CZ
-                                  else rotation_matrix("Y", gate.angle).real)
+            if gate.kind == CZ:
+                op = 1.0 - 2.0 * bit_of.get(gate.control, 0)
+            else:
+                c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+                op = np.array([[c, -s], [s, c]])
+            ops[id(gate)] = op
         if gate.kind == CZ:
             u[1] *= op
         else:
@@ -251,13 +248,13 @@ class BlochPoint:
     phi: float
 
 
-def _bloch_point(a: complex, b: complex) -> BlochPoint:
-    r01 = a * b.conjugate()
-    z = min(1.0, max(-1.0, (a * a.conjugate()).real - (b * b.conjugate()).real))
-    x = 2.0 * r01.real
-    y = -2.0 * r01.imag
+def _bloch_point(a: float, b: float, rx: bool) -> BlochPoint:
+    """The Bloch point of the frame state (a, b): (a, -i*b) when ``rx``."""
+    z = min(1.0, max(-1.0, a * a - b * b))
+    xy = 2.0 * (a * b)
+    x, y = (0.0, -xy) if rx else (xy, 0.0)
     theta = math.acos(z)
-    phi = math.atan2(y, x) % (2.0 * math.pi) if math.hypot(x, y) >= 1e-9 else 0.0
+    phi = math.atan2(y, x) % (2.0 * math.pi) if abs(xy) >= 1e-9 else 0.0
     return BlochPoint(theta, phi)
 
 
@@ -267,9 +264,9 @@ def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:
     input.
 
     In a star circuit the other qubits stay in the basis state the row sets
-    (|0> when no input sits on them), so the target's two amplitudes (a, b)
-    are the whole state of the row, and a CZ flips the sign of b when its
-    control is 1.
+    (|0> when no input sits on them), so the target's two amplitudes are
+    the whole state of the row.  They run as the real frame state (a, b) of
+    the module docstring, and a CZ flips the sign of b when its control is 1.
     """
     if any(b not in (0, 1, "0", "1") for b in assignment):
         raise ValueError(f"assignment entries must be 0 or 1, got {assignment!r}")
@@ -278,16 +275,17 @@ def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:
                          f"got {len(assignment)}")
     target = circuit.target_qubit
     bit_of = {q: int(assignment[v - 1]) for v, q in circuit.layout}
-    a, b = (0j, 1 + 0j) if bit_of.get(target) else (1 + 0j, 0j)
-    points = [_bloch_point(a, b)]
+    rx = any(g.kind == RX for g in circuit.gates)
+    a, b = (0.0, 1.0) if bit_of.get(target) else (1.0, 0.0)
+    points = [_bloch_point(a, b, rx)]
     for gate in circuit.gates:
         if gate.kind == CZ:
             if bit_of.get(gate.control):
                 b = -b
         else:
-            (m00, m01), (m10, m11) = rotation_matrix(gate.kind[-1], gate.angle).tolist()
-            a, b = m00 * a + m01 * b, m10 * a + m11 * b
-        points.append(_bloch_point(a, b))
+            c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+            a, b = c * a - s * b, s * a + c * b
+        points.append(_bloch_point(a, b, rx))
     return points
 
 

@@ -1,9 +1,12 @@
 """Per-row full-statevector simulator of RX/RY + CZ circuits.
 
 This is the reference that tests compare ``qcascade.quantum.verify_quantum``
-against.  It assumes nothing about the circuit's shape: each input row runs
-alone through the whole 2^num_qubits statevector, where amplitude index bit
-q holds qubit q (little-endian).
+and ``bloch_trace`` against.  It assumes nothing about the circuit's shape:
+each input row runs alone through the whole 2^num_qubits statevector, where
+amplitude index bit q holds qubit q (little-endian).  It builds its own
+complex rotation matrices, about X, Y and Z, and takes only the gate-kind
+names from ``qcascade.quantum``, so it shares none of the real-frame
+arithmetic it checks.
 """
 
 import math
@@ -12,7 +15,22 @@ from itertools import product
 import numpy as np
 
 from qcascade.cascade import VerificationReport, VerificationRow
-from qcascade.quantum import CZ, rotation_matrix
+from qcascade.quantum import CZ
+
+
+def rotation_matrix(axis: str, theta: float) -> np.ndarray:
+    """2x2 complex rotation about the X, Y or Z axis by theta radians."""
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta}")
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    if axis == "X":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if axis == "Y":
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if axis == "Z":
+        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
+    raise ValueError(f"unknown rotation axis {axis!r}")
 
 
 def _start_index(circuit, bits) -> int:

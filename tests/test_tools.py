@@ -28,6 +28,7 @@ def test_bench_pipeline_writes_stage_medians(tmp_path):
                                         "verify_classical", "verify_quantum"}
         assert row["total_s"] > 0
         assert row["emit_json_s"] > 0
+        assert row["trace_s"] > 0
         assert row["mgd"]["runs"] == row["runs"]
         assert set(row["mgd"]) == {"runs", "total_s", "emit_json_s", "report_bytes"}
         assert row["mgd"]["total_s"] > 0 and row["mgd"]["emit_json_s"] > 0
@@ -61,6 +62,22 @@ def test_reference_report_imports_nothing_from_the_cli():
     assert "qcascade.quantum" in imported
     assert not [name for name in imported
                 if name == "qcascade.cli" or name.startswith(("qcascade.cli.", "."))]
+
+
+def test_reference_statevector_takes_only_gate_kinds_from_the_quantum_module():
+    # the statevector reference checks verify_quantum and bloch_trace only
+    # while it shares none of their arithmetic: a bare qcascade import or a
+    # name from the package root would reach the quantum module too
+    tree = ast.parse((ROOT / "tests" / "reference_statevector.py").read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken.update(alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "qcascade")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("qcascade", "qcascade.quantum"):
+            taken.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert "qcascade.quantum.CZ" in taken
+    assert taken <= {"qcascade.quantum.CZ", "qcascade.quantum.RX", "qcascade.quantum.RY"}
 
 
 def test_every_flag_sets_a_job_field_or_a_run_option():

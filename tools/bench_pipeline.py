@@ -12,8 +12,11 @@ timed ``emit_json_s`` after the first overwrites the previous report.json
 in place, as ``emit`` does: it measures an overwrite, not the creation of a
 new file.  ``report_bytes`` is the length of the last report.json of the
 size, so that ``emit_json_s`` can be read against the size of what it
-writes.  The truth table for seed s is drawn as in acceptance criterion 8:
-``random.Random(s).getrandbits(1)`` per row, row 0 first.
+writes.  ``trace_s`` is the median time ``bloch_trace_csv`` takes on the
+all-ones input row of the EQB circuit, timed ``repeats(n)`` times per
+seed after that seed's runs.  The truth table for seed s is drawn as in
+acceptance criterion 8: ``random.Random(s).getrandbits(1)`` per row, row 0
+first.
 
 Each size and seed also runs one MGD job over D_7 the same way, with truth
 values ``rng.randrange(7)`` drawn by the same generator after the EQB table.
@@ -39,8 +42,8 @@ import time
 
 import numpy as np
 
-from qcascade.cli import emit, parse_job, run_pipeline
-from qcascade.quantum import CZ
+from qcascade.cli import SynthesisReport, emit, parse_job, run_pipeline
+from qcascade.quantum import CZ, bloch_trace_csv
 
 SIZES = (4, 6, 8, 10, 12, 14)
 SEEDS = (8, 9, 10)
@@ -52,9 +55,10 @@ def repeats(n: int) -> int:
     return 20 if n <= 8 else 5 if n <= 10 else 3
 
 
-def _time_runs(job, out_dir: str, samples: dict) -> None:
+def _time_runs(job, out_dir: str, samples: dict) -> SynthesisReport:
     """One untimed warm-up run of ``job``, then ``repeats(job.n)`` timed
-    runs, each followed by a timed report.json, appended to ``samples``."""
+    runs, each followed by a timed report.json, appended to ``samples``.
+    Returns the last run's report."""
     run_pipeline(job)
     for _ in range(repeats(job.n)):
         report = run_pipeline(job)
@@ -69,17 +73,23 @@ def _time_runs(job, out_dir: str, samples: dict) -> None:
         written = emit(report, ["json"], out_dir)
         samples["emits"].append(time.perf_counter() - t0)
         samples["report_bytes"] = written["json"].stat().st_size
+    return report
 
 
 def bench_size(n: int) -> dict:
     eqb, mgd = ({"gates": set(), "czs": [], "totals": [], "stages": {}, "emits": [],
                  "report_bytes": 0} for _ in range(2))
+    traces = []
     with tempfile.TemporaryDirectory() as out_dir:
         for seed in SEEDS:
             rng = random.Random(seed)
             truth = "".join(str(rng.getrandbits(1)) for _ in range(1 << n))
-            _time_runs(parse_job(json.dumps({"n": n, "truth": truth, "symmetry": False}),
-                                 allow_large=True), out_dir, eqb)
+            report = _time_runs(parse_job(json.dumps({"n": n, "truth": truth, "symmetry": False}),
+                                          allow_large=True), out_dir, eqb)
+            for _ in range(repeats(n)):
+                t0 = time.perf_counter()
+                bloch_trace_csv(report.circuit, "1" * n)
+                traces.append(time.perf_counter() - t0)
             values = [rng.randrange(MGD_ORDER) for _ in range(1 << n)]
             _time_runs(parse_job(json.dumps({"n": n, "truth": values, "mode": "mgd",
                                              "dihedral_n": MGD_ORDER}),
@@ -91,6 +101,7 @@ def bench_size(n: int) -> dict:
             "stages_s": {stage: statistics.median(v) for stage, v in eqb["stages"].items()},
             "emit_json_s": statistics.median(eqb["emits"]),
             "report_bytes": eqb["report_bytes"],
+            "trace_s": statistics.median(traces),
             "mgd": {"runs": len(mgd["totals"]),
                     "total_s": statistics.median(mgd["totals"]),
                     "emit_json_s": statistics.median(mgd["emits"]),
@@ -111,7 +122,8 @@ def main(argv=None) -> int:
         stages = " ".join(f"{k}={v * 1e3:.2f}" for k, v in row["stages_s"].items())
         print(f"n={n}: total {row['total_s'] * 1e3:.2f} ms over {row['runs']} runs ({stages}), "
               f"{row['czs']:g} CZs, "
-              f"emit json {row['emit_json_s'] * 1e3:.2f} ms ({row['report_bytes']} bytes); "
+              f"emit json {row['emit_json_s'] * 1e3:.2f} ms ({row['report_bytes']} bytes), "
+              f"trace {row['trace_s'] * 1e3:.2f} ms; "
               f"MGD D_{MGD_ORDER}: total {row['mgd']['total_s'] * 1e3:.2f} ms, emit json "
               f"{row['mgd']['emit_json_s'] * 1e3:.2f} ms ({row['mgd']['report_bytes']} bytes)",
               file=sys.stderr)
