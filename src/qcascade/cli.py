@@ -18,8 +18,10 @@ from .spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from .words import EQB, MGD, CascadeWord
 
 MAX_VARS_DEFAULT = 10
-# bounds the trial-division primality test of dihedral_n to ~46k divisions
-MAX_DIHEDRAL_N = 2**31 - 1
+# R(2*pi*k/d) and R(2*pi*(k+1)/d) differ by a squared entry of about (pi/d)**2,
+# 9.19e-9 here, about 9x quantum.VERIFY_TOL: above d ~ 99,000 a word one Rot(1)
+# off would pass a unitary check, so no job names a group it cannot resolve
+MAX_DIHEDRAL_N = 2**15 - 1
 REPORT_SCHEMA_VERSION = 3
 # emit target -> (file name, the file's text for a report)
 _ARTIFACTS = {
@@ -83,10 +85,9 @@ class JobSpec:
             raise JobError(f"field 'dihedral_n': {'required' if d is None else 'only valid'} in MGD mode")
         top, rule = 2, "EQB values must be 0 or 1"
         if d is not None:
-            if d > MAX_DIHEDRAL_N:
-                raise JobError(f"field 'dihedral_n': must be at most {MAX_DIHEDRAL_N}, got {d}")
-            if not _is_prime(d) or d == 2:
-                raise JobError(f"field 'dihedral_n': MGD mode needs an odd prime group order, got {d}")
+            if not (d % 2 and 3 <= d <= MAX_DIHEDRAL_N):
+                raise JobError(f"field 'dihedral_n': MGD mode needs an odd group order "
+                               f"from 3 to {MAX_DIHEDRAL_N}, got {d}")
             # values that differ by dihedral_n would fold to one element of D_n
             top, rule = d, f"MGD values must lie in 0..{d - 1}"
         bad = [i for i, v in enumerate(self.truth.values) if not 0 <= v < top]
@@ -99,17 +100,6 @@ class JobSpec:
 
 
 _JOB_FIELDS = tuple(f.name for f in fields(JobSpec))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _is_int(value) -> bool:

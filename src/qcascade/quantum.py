@@ -250,10 +250,9 @@ class BlochPoint:
 
 def _bloch_point(a: float, b: float, rx: bool) -> BlochPoint:
     """The Bloch point of the frame state (a, b): (a, -i*b) when ``rx``."""
-    z = min(1.0, max(-1.0, a * a - b * b))
     xy = 2.0 * (a * b)
     x, y = (0.0, -xy) if rx else (xy, 0.0)
-    theta = math.acos(z)
+    theta = math.atan2(abs(xy), a * a - b * b)
     phi = math.atan2(y, x) % (2.0 * math.pi) if abs(xy) >= 1e-9 else 0.0
     return BlochPoint(theta, phi)
 

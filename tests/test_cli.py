@@ -20,7 +20,7 @@ from qcascade.cascade import VerificationReport, VerificationRow
 from qcascade.cli import (EMIT_TARGETS, VERBS, JobError, JobSpec, PipelineError, _job_from_args,
                           build_parser, emit, job_to_mapping, main, parse_job, report_to_mapping,
                           run_pipeline)
-from qcascade.quantum import interaction_graph
+from qcascade.quantum import VERIFY_TOL, interaction_graph
 from qcascade.spectral import TruthVector
 from qcascade.words import EQB, MGD, CascadeWord, Refl, Rot
 from reference_parser import build_subcommand_parser
@@ -87,13 +87,19 @@ def test_parse_job_accepts_large_n_only_when_forced():
     ('{"n": 2, "truth": "0110", "dihedral_n": 3}', "only valid in MGD"),
     ('{"n": 1, "truth": [0, 2]}', "must be 0 or 1"),
     ('{"n": 2, "truth": "0110", "mode": "mgd"}', "'dihedral_n': required"),
-    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 4}', "odd prime"),
-    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 2}', "odd prime"),
+    # any odd order from 3 to MAX_DIHEDRAL_N, the largest the unitary check resolves
+    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 4}', "odd group order from 3 to 32767, got 4"),
+    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 2}', "odd group order from 3 to 32767, got 2"),
+    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 1}', "odd group order from 3 to 32767, got 1"),
+    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": -3}', "odd group order from 3 to 32767, got -3"),
+    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 32769}',
+     "odd group order from 3 to 32767, got 32769"),
+    ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 2147483647}',
+     "odd group order from 3 to 32767, got 2147483647"),
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 3.0}',
      "'dihedral_n': expected an integer, got 3.0"),
-    # a prime near 2**61: the cap answers before any trial division
     ('{"n": 2, "truth": "0110", "mode": "mgd", "dihedral_n": 2305843009213693951}',
-     "at most 2147483647"),
+     "odd group order from 3 to 32767, got 2305843009213693951"),
     ('{"n": 2, "truth": "0340", "mode": "mgd", "dihedral_n": 3}',
      r"'truth': MGD values must lie in 0\.\.2 \(found 3 at row 1\)"),
     ('{"n": 1, "truth": "03", "mode": "mgd", "dihedral_n": 3}', r"'truth'.*at row 1\)"),
@@ -121,6 +127,16 @@ def test_parse_job_accepts_large_n_only_when_forced():
 def test_parse_job_diagnostics(text, needle):
     with pytest.raises(JobError, match=needle):
         parse_job(text)
+
+
+def test_dihedral_n_cap_stays_within_what_the_unitary_check_resolves():
+    # neighbouring rotations R(2*pi*k/d) and R(2*pi*(k+1)/d) differ by a
+    # squared entry of about (pi/d)**2, which must clear the check's tolerance
+    assert (math.pi / cli.MAX_DIHEDRAL_N) ** 2 > 8 * VERIFY_TOL
+    rng = random.Random(32767)
+    truth = [rng.randrange(cli.MAX_DIHEDRAL_N) for _ in range(8)]
+    doc = {"n": 3, "truth": truth, "mode": "mgd", "dihedral_n": cli.MAX_DIHEDRAL_N}
+    assert run_pipeline(parse_job(json.dumps(doc))).passed
 
 
 @pytest.mark.parametrize("fields_,needle", [
@@ -507,8 +523,9 @@ def test_emit_checks_every_target_before_writing(tmp_path):
 def _sweep_jobs():
     """EQB n = 1-6 in both bases, with and without the symmetry reduction
     (half the truth tables odd in x_n, so that it applies), MGD over D_3,
-    D_5 and D_7 at n = 1-7 (n = 7 is the mgd-wide benchmark's shape), and
-    circuits with no gate and with a single gate."""
+    D_5, D_7 and the composite orders D_9 and D_15 at n = 1-7 (n = 7 is
+    the mgd-wide benchmark's shape), and circuits with no gate and with a
+    single gate."""
     rng = random.Random(404)
     for n in range(1, 7):
         for basis in ("x", "y"):
@@ -521,7 +538,7 @@ def _sweep_jobs():
                         truth = "".join(str(rng.getrandbits(1)) for _ in range(1 << n))
                     yield {"n": n, "truth": truth, "basis": basis, "symmetry": symmetry}
     for n in range(1, 8):
-        for d in (3, 5, 7):
+        for d in (3, 5, 7, 9, 15):
             truth = [rng.randrange(d) for _ in range(1 << n)]
             yield {"n": n, "truth": truth, "mode": "mgd", "dihedral_n": d}
     yield {"n": 2, "truth": "0000"}
@@ -815,13 +832,15 @@ def test_main_exits_one_when_an_artifact_cannot_be_opened(tmp_path, capsys):
 # again for schema_version 3, whose rows drop "input" (row x is input x).
 # The canonical word in Gray order re-pins every hash that depends on the
 # word: both report.json files whose simplified word did not move (their
-# canonical word did), and all four files of the other two jobs
+# canonical word did), and all four files of the other two jobs.  Two
+# trace.csv files are pinned again for the Bloch angle theta = atan2(2|ab|,
+# a^2 - b^2), which keeps to the poles, where acos(a^2 - b^2) was 4.2e-8 off
 GOLDEN_EMIT = {
     ("--n", "3", "--truth", "01101001", "--input", "101"): {
         "word.txt": "a3bfa3139c4c160efcd4408ed070a7fa9e7bfc9762a309af9e44f7130f650597",
         "circuit.qasm": "d6eecabda42d20df169dce58ce489987ca2cf9bd5ecc0f3f7deebcbf4383dcee",
         "report.json": "5722ac27ac59d415419e749da1073759fe790ddc019dedb5e53ff6f47b5be232",
-        "trace.csv": "3c79aa13d3a81a1ee59902903197fd3ea1482025e8eb00ba33eb5b03c04352ee",
+        "trace.csv": "122f1b05f14bf417447629d8d85e83c4afcd5f1c017c666231a0bbdb331401e4",
     },
     ("--n", "4", "--truth", "0110100110010110", "--basis", "y", "--input", "0111"): {
         "word.txt": "59dca8fed53a95f945abccdd9b3cf0becf38f9574457f8f945dba52f8ab9c4e8",
@@ -833,7 +852,7 @@ GOLDEN_EMIT = {
         "word.txt": "e54a875a6f84e98c8a03d939bc0caebf2a30181d16e1328c379f9484be5213c0",
         "circuit.qasm": "5a90c30b8ecce969f032bcdadacfd158c3bccb1d0ad31cf8d0966d3534ecd758",
         "report.json": "22fe4194fc6169bbd8ab93c4168649041b3583b190ba2eb8d155f5518e33d8be",
-        "trace.csv": "76406afcbd6669734e8bb15512d1d0cc54c2cc221451664516c97065af2a7a8e",
+        "trace.csv": "8e6e6e196fb9a63f7862eac9bf450b908f4a3bbf3c1367003868d01915641661",
     },
     ("--n", "3", "--truth", "04213043", "--mode", "mgd", "--dihedral-n", "5", "--input", "010"): {
         "word.txt": "9bcb8d9bf9f96526d476365bc32fa4199149112527e73d6114ee92b61ebb1a3f",

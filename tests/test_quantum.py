@@ -198,10 +198,31 @@ def test_bloch_trace_follows_the_reference_statevector_gate_by_gate(basis):
                 got = [math.sin(p.theta) * math.cos(p.phi), math.sin(p.theta) * math.sin(p.phi),
                        math.cos(p.theta)]
                 want = _target_bloch_vector(replace(circ, gates=circ.gates[:k]), bits)
-                # theta = acos(z) is ill-conditioned at the poles: z = 1 - 2^-52
-                # reads as theta = 2.1e-8, so x and y get 1e-7
-                assert abs(got[2] - want[2]) <= 1e-9, (str(word), bits, k)
-                assert np.abs(got - want).max() <= 1e-7, (str(word), bits, k)
+                assert np.abs(got - want).max() <= 1e-9, (str(word), bits, k)
+
+
+@pytest.mark.parametrize("basis", ["X", "Y"])
+def test_bloch_trace_ends_at_the_exact_polar_angle(basis):
+    # a compiled circuit takes row x to +-R(2*pi*F(x)/d) of the target's
+    # start (d = 2 for EQB), so its last point has theta = 2*pi*min(F, d - F)/d:
+    # exactly 0 or pi in EQB, where a z = 1 - 2^-52 must not read as 2.1e-8
+    rng = random.Random(43)
+    cases = []
+    for n in range(1, 6):
+        values = [rng.getrandbits(1) for _ in range(1 << n)]
+        cases.append((simplify(canonical_cascade(spectrum_exact(TruthVector(n, values)))), values, 2))
+        odd = [values[x & ~1] ^ (x & 1) for x in range(1 << n)]
+        cases.append((reduce_by_symmetry(TruthVector(n, odd)), odd, 2))
+        for d in (3, 5, 7, 9):
+            values = [rng.randrange(d) for _ in range(1 << n)]
+            cases.append((simplify(canonical_cascade(spectrum_mod(TruthVector(n, values), d))),
+                          values, d))
+    for word, values, d in cases:
+        circ = map_to_circuit(word, basis=basis)
+        for x, value in enumerate(values):
+            bits = [(x >> (word.n_vars - v)) & 1 for v in range(1, word.n_vars + 1)]
+            want = 2 * math.pi * min(value, d - value) / d
+            assert abs(bloch_trace(circ, bits)[-1].theta - want) <= 1e-12, (str(word), x)
 
 
 def test_map_to_circuit_standard_layout():
@@ -243,7 +264,7 @@ def test_mgd_circuits_represent_the_dihedral_group_up_to_sign():
     # a^d = I, so a spectrum taken modulo 3d also folds over D_d
     z = np.diag([1.0, -1.0])
     rng = random.Random(31)
-    for d, n, mult, basis in itertools.product((3, 5, 7), range(1, 6), (1, 3), "XY"):
+    for d, n, mult, basis in itertools.product((3, 5, 7, 9, 15, 21), range(1, 6), (1, 3), "XY"):
         truth = TruthVector(n, [rng.randrange(d) for _ in range(1 << n)])
         word = simplify(replace(canonical_cascade(spectrum_mod(truth, mult * d)), order=d))
         circ = map_to_circuit(word, basis=basis)

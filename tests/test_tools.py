@@ -112,6 +112,12 @@ def test_sweep_mgd_passes_every_function_of_two_inputs_over_d3():
     assert done.stdout.startswith("n=2 over D_3: 81 functions, 0 failures, ")
 
 
+def test_sweep_mgd_passes_every_function_of_two_inputs_over_the_composite_order_d9():
+    done = _sweep("--n", "2", "--dihedral-n", "9")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("n=2 over D_9: 6561 functions, 0 failures, ")
+
+
 def test_sweep_eqb_reports_each_failure_and_exits_1(monkeypatch, capsys):
     sweep = _sweep_module()
 

@@ -4,11 +4,13 @@ Each truth table goes through ``parse_job`` and ``run_pipeline`` and must
 pass every check the job runs.  Without ``--dihedral-n`` the tables are the
 2^(2^N) Boolean functions, run as EQB jobs with the symmetry reduction on
 (the default).  With ``--dihedral-n D`` they are the D^(2^N) functions with
-values in 0..D-1, run as MGD jobs over D_D.  Prints the number of
-functions, every failure (the truth table and the first failing row, or the
-error) and the wall time, and exits 1 on any failure.  EQB at N = 4 is
-65,536 functions, about 30 s; N = 5 would be 2^32, so N stops at 4.  MGD
-over D_3 at N = 3 is 6,561 functions and over D_7 at N = 2 is 2,401.
+values in 0..D-1, run as MGD jobs over D_D, for each odd order D that a
+digit string can carry: 3, 5, 7 or 9.  Prints the number of functions,
+every failure (the truth table and the first failing row, or the error) and
+the wall time, and exits 1 on any failure.  EQB at N = 4 is 65,536
+functions, about 30 s; N = 5 would be 2^32, so N stops at 4.  MGD over D_3
+at N = 3 is 6,561 functions, over D_7 at N = 2 is 2,401 and over the
+composite order D_9 at N = 2 is 6,561, about 1 s.
 
 Run from the repository root:
 
@@ -46,7 +48,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True, choices=range(1, 5),
                         help="number of inputs, 1 to 4")
-    parser.add_argument("--dihedral-n", type=int, choices=(3, 5, 7),
+    parser.add_argument("--dihedral-n", type=int, choices=(3, 5, 7, 9),
                         help="sweep MGD jobs over D_D, values 0..D-1 (default: EQB)")
     args = parser.parse_args(argv)
     n, d = args.n, args.dihedral_n
