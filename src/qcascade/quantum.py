@@ -7,16 +7,17 @@ target: RX/RY rotations of the target and CZ gates joining one input qubit
 to it.  Rotations use the half-angle convention, so R(theta + 4*pi) =
 R(theta) exactly and angles are kept in (-2*pi, 2*pi].
 
-All arithmetic is real, in the RY frame: RY(theta) = [[c, -s], [s, c]]
-with c = cos(theta / 2) and s = sin(theta / 2).  An RX circuit is the RY
-circuit with the same angles conjugated by S = diag(1, i), since
+All arithmetic runs in the RY frame, on z = a + i*b for the target's real
+state (a, b): RY(theta) multiplies z by e^(i*theta/2), and a CZ whose
+control is 1 conjugates z, as D_n rotates and reflects the plane.  An RX
+circuit is the RY circuit, same angles, conjugated by S = diag(1, i), as
 S RX(theta) S^dag = RY(theta) and S Z S^dag = Z.  So from |0> or |1> the
-target of an RX circuit is in the state (a, -i*b), up to a global phase,
-where (a, b) is the real state of the RY circuit.
+target of an RX circuit is in the state (a, -i*b), up to a global phase.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections import Counter
@@ -38,9 +39,9 @@ VERIFY_TOL = 1e-9
 class Gate:
     """One gate application: RX or RY on ``target``, or CZ(``control``, ``target``).
 
-    Rotations take their angle as an exact multiple ``pi_frac`` of pi, kept
-    in (-2, 2] so emitters can print it exactly; ``angle`` holds the same
-    angle in radians.
+    Rotations take an angle as an exact int or Fraction multiple ``pi_frac``
+    of pi, kept in (-2, 2] as a Fraction so emitters can print it exactly;
+    ``angle`` holds the same angle in radians.
     """
 
     kind: str
@@ -67,14 +68,14 @@ class Gate:
         if self.pi_frac is None:
             raise ValueError(f"{self.kind} needs an angle")
         f = self.pi_frac
-        if not isinstance(f, Fraction):
-            f = Fraction(f)
-        # in-range angles, nearly all of them, skip the Fraction arithmetic
+        if isinstance(f, bool) or not isinstance(f, (int, Fraction)):
+            raise TypeError(f"pi_frac must be an int or a Fraction, got {f!r}")
+        # in-range angles, nearly all of them, skip the modular arithmetic
         if not -2 * f.denominator < f.numerator <= 2 * f.denominator:
             f %= 4
             if f > 2:
                 f -= 4
-        object.__setattr__(self, "pi_frac", f)
+        object.__setattr__(self, "pi_frac", f if isinstance(f, Fraction) else Fraction(f))
         object.__setattr__(self, "angle", float(f) * math.pi)
 
 
@@ -181,11 +182,11 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
     " dU=<largest squared entry>" appended when only the unitary comparison
     fails.  ``truth.n`` must equal the circuit's number of inputs.
 
-    All rows run at once in the real frame of the module docstring, as one
-    (2, 2 * 2^n) array whose column c * 2^n + x holds U_x|c>: one 2x2
-    matmul per rotation and one sign vector per CZ gate.  An RX circuit
-    runs as its RY circuit: the S conjugation changes only the phases of
-    U_x's entries, and it maps the expected RX(pi * b) to RY(pi * b).
+    All rows run at once in the frame of the module docstring, as one
+    complex vector whose entry c * 2^n + x is U_x|c>, from 1 (c = 0) or i
+    (c = 1), so its real and imaginary parts are U_x's entries.  An RX
+    circuit runs as its RY circuit: the S conjugation changes only the
+    phases of U_x's entries, and maps the expected RX(pi * b) to RY(pi * b).
     """
     if not truth.is_boolean:
         raise ValueError("quantum verification expects a Boolean truth vector")
@@ -195,40 +196,36 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
                          f"truth vector has {n}")
     target = circuit.target_qubit
     size = 1 << n
-    # column c * 2^n + x holds input x_v at bit n - v, for either c
+    # entry c * 2^n + x holds input x_v at bit n - v, for either c
     cols = np.arange(2 * size)
     bit_of = {q: (cols >> (n - v)) & 1 for v, q in circuit.layout}
-    u = np.zeros((2, 2 * size))
-    u[0, :size] = u[1, size:] = 1.0
-    buf = np.empty_like(u)
-    # one matrix per distinct rotation and one sign vector per distinct CZ,
+    z = np.repeat((1, 1j), size)
+    imag = z.imag  # a view: a CZ scales it in place, with no write-back to z
+    # one factor per distinct rotation and one sign vector per distinct CZ,
     # keyed by gate identity (map_to_circuit shares equal gates); a CZ from
     # a qubit that holds no input sees |0> and flips no sign
-    ops: dict[int, np.ndarray | float] = {}
+    ops: dict[int, np.ndarray | complex] = {}
     for gate in circuit.gates:
         op = ops.get(id(gate))
         if op is None:
             if gate.kind == CZ:
                 op = 1.0 - 2.0 * bit_of.get(gate.control, 0)
             else:
-                c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-                op = np.array([[c, -s], [s, c]])
+                op = cmath.exp(0.5j * gate.angle)
             ops[id(gate)] = op
         if gate.kind == CZ:
-            u[1] *= op
+            imag *= op
         else:
-            np.matmul(op, u, out=buf)
-            u, buf = buf, u
+            z *= op
     want = np.array(truth.values)
     start = bit_of[target][:size] if target in bit_of else 0
     flipped = want ^ start
-    p_one = u[1, start * size + cols[:size]] ** 2
+    p_one = z[start * size + cols[:size]].imag ** 2
     p_want = np.where(want == 1, p_one, 1.0 - p_one)
-    expected = np.empty_like(u)
-    expected[0, :size] = expected[1, size:] = 1 - flipped
-    expected[0, size:] = -flipped
-    expected[1, :size] = flipped
-    dist = ((u - expected) ** 2).reshape(4, size).max(axis=0)
+    # R(pi * b) keeps 1 and i when b = 0 and sends them to i and -1 when b = 1
+    turn = np.where(flipped, 1j, 1)
+    diff = z - np.concatenate((turn, 1j * turn))
+    dist = np.maximum(diff.real ** 2, diff.imag ** 2).reshape(2, size).max(axis=0)
     p_ok = p_want >= 1.0 - VERIFY_TOL
     ok = p_ok & (dist <= VERIFY_TOL)
     p_list = p_want.tolist()
@@ -248,11 +245,12 @@ class BlochPoint:
     phi: float
 
 
-def _bloch_point(a: float, b: float, rx: bool) -> BlochPoint:
-    """The Bloch point of the frame state (a, b): (a, -i*b) when ``rx``."""
-    xy = 2.0 * (a * b)
+def _bloch_point(z: complex, rx: bool) -> BlochPoint:
+    """The Bloch point of the frame state z = a + i*b: (a, -i*b) when ``rx``."""
+    w = z * z  # (a^2 - b^2) + 2ab*i: the Bloch vector's z, and its x (RY) or -y (RX)
+    xy = w.imag
     x, y = (0.0, -xy) if rx else (xy, 0.0)
-    theta = math.atan2(abs(xy), a * a - b * b)
+    theta = math.atan2(abs(xy), w.real)
     phi = math.atan2(y, x) % (2.0 * math.pi) if abs(xy) >= 1e-9 else 0.0
     return BlochPoint(theta, phi)
 
@@ -264,8 +262,8 @@ def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:
 
     In a star circuit the other qubits stay in the basis state the row sets
     (|0> when no input sits on them), so the target's two amplitudes are
-    the whole state of the row.  They run as the real frame state (a, b) of
-    the module docstring, and a CZ flips the sign of b when its control is 1.
+    the whole state of the row, carried as the frame state z of the module
+    docstring.
     """
     if any(b not in (0, 1, "0", "1") for b in assignment):
         raise ValueError(f"assignment entries must be 0 or 1, got {assignment!r}")
@@ -275,16 +273,14 @@ def bloch_trace(circuit: QCircuit, assignment) -> list[BlochPoint]:
     target = circuit.target_qubit
     bit_of = {q: int(assignment[v - 1]) for v, q in circuit.layout}
     rx = any(g.kind == RX for g in circuit.gates)
-    a, b = (0.0, 1.0) if bit_of.get(target) else (1.0, 0.0)
-    points = [_bloch_point(a, b, rx)]
+    z = 1j if bit_of.get(target) else 1 + 0j
+    points = [_bloch_point(z, rx)]
     for gate in circuit.gates:
-        if gate.kind == CZ:
-            if bit_of.get(gate.control):
-                b = -b
-        else:
-            c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-            a, b = c * a - s * b, s * a + c * b
-        points.append(_bloch_point(a, b, rx))
+        if gate.kind != CZ:
+            z *= cmath.exp(0.5j * gate.angle)
+        elif bit_of.get(gate.control):
+            z = z.conjugate()
+        points.append(_bloch_point(z, rx))
     return points
 
 

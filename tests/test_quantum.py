@@ -14,7 +14,8 @@ from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, bloch_trac
                               verify_quantum)
 from qcascade.spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from qcascade.words import CascadeWord, Refl, Rot
-from reference_statevector import p_one, rotation_matrix, run_row, strict_rows, verify_rows
+from reference_statevector import (_p_want, p_one, rotation_matrix, run_row, strict_row, strict_rows,
+                                   verify_rows)
 
 XOR2 = TruthVector(2, (0, 1, 1, 0))
 
@@ -106,7 +107,7 @@ def test_gate_validation_errors():
             Gate(kind, 0, pi_frac=Fraction(1))
     with pytest.raises(ValueError):
         Gate(RX, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Gate(RX, 0, pi_frac=math.nan)
     with pytest.raises(TypeError):
         Gate(RX, 0, angle=1.0)
@@ -120,6 +121,15 @@ def test_gate_validation_errors():
         Gate(RX, 0, control=1, pi_frac=Fraction(1))
     with pytest.raises(ValueError):
         Gate(RY, -1, pi_frac=Fraction(1))
+
+
+@pytest.mark.parametrize("pi_frac", ["1/2", True, 0.1, np.int64(1)],
+                         ids=["str", "bool", "float", "numpy-int"])
+def test_gate_takes_only_an_int_or_a_fraction_as_its_angle(pi_frac):
+    # Fraction() would read "1/2" as text, True as pi and 0.1 as the float's
+    # 55-bit fraction, which QASM would print verbatim
+    with pytest.raises(TypeError, match="pi_frac must be an int or a Fraction"):
+        Gate(RX, 0, pi_frac=pi_frac)
 
 
 def test_circuit_validation():
@@ -419,9 +429,11 @@ def test_verify_quantum_rows_equal_full_statevector_reference():
 
 
 def _planted_faults(rng, circuit):
-    """Two broken copies of a circuit: one rotation shifted by 2*pi, which
-    flips the sign of every U_x, and two CZs inserted at random positions,
-    which leave a Z on the target where they do not cancel."""
+    """Four broken copies of a circuit: one rotation shifted by 2*pi, which
+    flips the sign of every U_x; two CZs inserted at random positions, which
+    leave a Z on the target where they do not cancel; every rotation angle
+    halved; and the last CZ dropped.  The last two leave rows whose target
+    reads F(x) with a probability strictly between 0 and 1."""
     gates = list(circuit.gates)
     rotations = [i for i, g in enumerate(gates) if g.kind != CZ]
     shifted = gates.copy()
@@ -433,7 +445,10 @@ def _planted_faults(rng, circuit):
     for _ in range(2 if inputs else 0):
         paired.insert(rng.randrange(len(paired) + 1),
                       Gate(CZ, circuit.target_qubit, control=rng.choice(inputs)))
-    return [replace(circuit, gates=tuple(g)) for g in (shifted, paired)]
+    halved = [g if g.kind == CZ else Gate(g.kind, g.target, pi_frac=g.pi_frac / 2) for g in gates]
+    czs = [i for i, g in enumerate(gates) if g.kind == CZ]
+    dropped = gates[:czs[-1]] + gates[czs[-1] + 1:] if czs else gates
+    return [replace(circuit, gates=tuple(g)) for g in (shifted, paired, halved, dropped)]
 
 
 def test_verify_quantum_ok_equals_full_unitary_reference():
@@ -459,11 +474,39 @@ def test_verify_quantum_ok_equals_full_unitary_reference():
     assert verdicts == {(False,), (True,), (False, True)}
 
 
+def test_verify_quantum_row_numbers_equal_full_statevector_reference():
+    # every row's p= value, and its dU= value where printed, on compiled
+    # circuits and their planted faults, failing rows included; the texts
+    # carry 12 significant digits, so allow their rounding on top of 1e-12
+    rng = random.Random(6023)
+    cases = []
+    for n in range(1, 6):
+        for basis in ("X", "Y"):
+            truth = TruthVector(n, [rng.getrandbits(1) for _ in range(1 << n)])
+            odd = TruthVector(n, [b for _ in range(1 << (n - 1)) for h in [rng.getrandbits(1)]
+                                  for b in (h, 1 - h)])
+            for t, reduce in ((truth, False), (odd, True)):
+                circ = _compiled(t, basis, reduce)
+                cases += [(c, t) for c in [circ] + _planted_faults(rng, circ)]
+    fractional = 0
+    for circ, truth in cases:
+        rows = verify_quantum(circ, truth).rows
+        for bits, want, row in zip(itertools.product((0, 1), repeat=truth.n), truth.values, rows):
+            p_text, *du_text = row.got.split(" dU=")
+            p_want = _p_want(circ, bits, want)
+            assert math.isclose(float(p_text[2:]), p_want, rel_tol=5e-12, abs_tol=1e-12), row
+            if du_text:
+                _, dist = strict_row(circ, bits, want)
+                assert math.isclose(float(du_text[0]), dist, rel_tol=5e-12, abs_tol=1e-12), row
+            fractional += 1e-9 < p_want < 1 - 1e-9
+    assert fractional > 0
+
+
 def test_verify_quantum_sign_flip_fails_every_row_on_the_unitary_alone():
     rng = random.Random(6022)
     for basis in ("X", "Y"):
         truth = TruthVector(4, [rng.getrandbits(1) for _ in range(16)])
-        flipped, _ = _planted_faults(rng, _compiled(truth, basis, False))
+        flipped, *_ = _planted_faults(rng, _compiled(truth, basis, False))
         report = verify_quantum(flipped, truth)
         assert report.counts() == "0/16"
         assert {row.got for row in report.rows} == {"p=1 dU=4"}
