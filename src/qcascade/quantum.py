@@ -9,10 +9,11 @@ R(theta) exactly and angles are kept in (-2*pi, 2*pi].
 
 All arithmetic runs in the RY frame, on z = a + i*b for the target's real
 state (a, b): RY(theta) multiplies z by e^(i*theta/2), and a CZ whose
-control is 1 conjugates z, as D_n rotates and reflects the plane.  An RX
-circuit is the RY circuit, same angles, conjugated by S = diag(1, i), as
-S RX(theta) S^dag = RY(theta) and S Z S^dag = Z.  So from |0> or |1> the
-target of an RX circuit is in the state (a, -i*b), up to a global phase.
+control is 1 conjugates z, as D_n rotates and reflects the plane.  So a
+row's gates multiply to one a^r g^s, which sends z to w*z, or to w*conj(z)
+when s = 1.  An RX circuit is the RY circuit, same angles, conjugated by
+S = diag(1, i), as S RX(theta) S^dag = RY(theta) and S Z S^dag = Z: from
+|0> or |1> its target is in the state (a, -i*b), up to a global phase.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +88,7 @@ class QCircuit:
     about one axis, or a CZ from another qubit (its ``control``) to the
     target.  Construction raises ValueError on any other gate list.
 
-    ``layout`` maps input variables to qubits as (variable, qubit) pairs.
+    ``layout`` puts inputs x1..xk on distinct qubits as (variable, qubit) pairs.
     """
 
     num_qubits: int
@@ -102,6 +104,10 @@ class QCircuit:
         target = self.target_qubit
         if not 0 <= target < self.num_qubits:
             raise ValueError(f"target qubit {target} out of range")
+        k = len(self.layout)
+        if ({v for v, _ in self.layout} != set(range(1, k + 1))
+                or len({q for _, q in self.layout} & set(range(self.num_qubits))) != k):
+            raise ValueError(f"layout {self.layout} is not x1..x{k} on distinct circuit qubits")
         kinds = set()
         # once per distinct gate object: map_to_circuit shares equal gates
         for g in {id(g): g for g in self.gates}.values():
@@ -133,15 +139,9 @@ def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
     # half-turns per unit of rotation exponent; EQB exponents are half-turns
     scale = None if word.order is None else Fraction(2, word.order)
     rot_kind = RX if basis == "X" else RY
-    n = word.n_vars
-    if word.target_var is None:
-        target = 0
-        qubit_of = {v: v for v in range(1, n + 1)}
-        num_qubits = n + 1
-    else:
-        target = word.target_var - 1
-        qubit_of = {v: v - 1 for v in range(1, n + 1)}
-        num_qubits = n
+    ancilla = int(word.target_var is None)  # the ancilla takes q[0], every input moves up one
+    qubit_of = {v: v - 1 + ancilla for v in range(1, word.n_vars + 1)}
+    target = 0 if ancilla else qubit_of[word.target_var]
     gates: list[Gate] = []
     # exponent 0 is never stored, so every a^0 reaches the check below
     rotations: dict[Fraction | int, Gate] = {}
@@ -167,7 +167,7 @@ def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
                     run.append(gate)
             run_of[id(letter)] = run
         gates += run
-    return QCircuit(num_qubits, tuple(gates), target,
+    return QCircuit(word.n_vars + ancilla, tuple(gates), target,
                     layout=tuple(sorted(qubit_of.items())))
 
 
@@ -182,25 +182,22 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
     " dU=<largest squared entry>" appended when only the unitary comparison
     fails.  ``truth.n`` must equal the circuit's number of inputs.
 
-    All rows run at once in the frame of the module docstring, as one
-    complex vector whose entry c * 2^n + x is U_x|c>, from 1 (c = 0) or i
-    (c = 1), so its real and imaginary parts are U_x's entries.  An RX
-    circuit runs as its RY circuit: the S conjugation changes only the
-    phases of U_x's entries, and maps the expected RX(pi * b) to RY(pi * b).
+    All rows run at once, in the a^r g^s form of the module docstring: one
+    complex vector w, from 1, and one reflection bit s per row, so U_x|0>
+    is w_x and U_x|1> is i * (-1)^s_x * w_x.  An RX circuit runs as its RY
+    circuit: the S conjugation changes only the phases of U_x's entries,
+    and maps the expected RX(pi * b) to RY(pi * b).
     """
     if not truth.is_boolean:
         raise ValueError("quantum verification expects a Boolean truth vector")
     n = truth.n
     if len(circuit.layout) != n:
-        raise ValueError(f"circuit reads {len(circuit.layout)} input bits, "
-                         f"truth vector has {n}")
-    target = circuit.target_qubit
-    size = 1 << n
-    # entry c * 2^n + x holds input x_v at bit n - v, for either c
-    cols = np.arange(2 * size)
-    bit_of = {q: (cols >> (n - v)) & 1 for v, q in circuit.layout}
-    z = np.repeat((1, 1j), size)
-    imag = z.imag  # a view: a CZ scales it in place, with no write-back to z
+        raise ValueError(f"circuit reads {len(circuit.layout)} input bits, truth vector has {n}")
+    # row x holds input x_v at bit n - v
+    bit_of = {q: (np.arange(1 << n) >> (n - v)) & 1 for v, q in circuit.layout}
+    w = np.ones(1 << n, dtype=complex)
+    imag = w.imag  # a view: a CZ scales it in place, with no write-back to w
+    mask = 0  # the qubits that control an odd number of CZs
     # one factor per distinct rotation and one sign vector per distinct CZ,
     # keyed by gate identity (map_to_circuit shares equal gates); a CZ from
     # a qubit that holds no input sees |0> and flips no sign
@@ -215,17 +212,21 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
             ops[id(gate)] = op
         if gate.kind == CZ:
             imag *= op
+            mask ^= 1 << gate.control
         else:
-            z *= op
+            w *= op
     want = np.array(truth.values)
-    start = bit_of[target][:size] if target in bit_of else 0
-    flipped = want ^ start
-    p_one = z[start * size + cols[:size]].imag ** 2
+    start = bit_of.get(circuit.target_qubit, 0)
+    p_one = np.where(start, w.real, w.imag) ** 2  # Im(U_x|t>)^2
     p_want = np.where(want == 1, p_one, 1.0 - p_one)
-    # R(pi * b) keeps 1 and i when b = 0 and sends them to i and -1 when b = 1
-    turn = np.where(flipped, 1j, 1)
-    diff = z - np.concatenate((turn, 1j * turn))
-    dist = np.maximum(diff.real ** 2, diff.imag ** 2).reshape(2, size).max(axis=0)
+    # R(pi * b) sends 1 to turn = i^b and i to i * turn, so U_x|1> - R|1> is
+    # i * (w - turn), or -i * (w + turn) when s = 1: an odd count of mask bits read 1
+    turn = np.where(want ^ start, 1j, 1)
+    diff = w - turn
+    dist = np.maximum(diff.real ** 2, diff.imag ** 2)
+    if mask:  # never in a compiled circuit: each input controls an even number of CZs
+        diff = (w + turn) * (sum(bits for q, bits in bit_of.items() if mask >> q & 1) & 1)
+        dist = np.maximum(dist, np.maximum(diff.real ** 2, diff.imag ** 2))
     p_ok = p_want >= 1.0 - VERIFY_TOL
     ok = p_ok & (dist <= VERIFY_TOL)
     p_list = p_want.tolist()
@@ -237,8 +238,7 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
         VerificationRow, map(str, truth.values), got, ok.tolist())))
 
 
-@dataclass(frozen=True)
-class BlochPoint:
+class BlochPoint(NamedTuple):
     """Polar angle theta in [0, pi], azimuth phi in [0, 2*pi), phi = 0 at poles."""
 
     theta: float

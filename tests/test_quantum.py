@@ -14,8 +14,8 @@ from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, bloch_trac
                               verify_quantum)
 from qcascade.spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from qcascade.words import CascadeWord, Refl, Rot
-from reference_statevector import (_p_want, p_one, rotation_matrix, run_row, strict_row, strict_rows,
-                                   verify_rows)
+from reference_statevector import (_p_want, p_one, quantum_row, rotation_matrix, run_row, strict_row,
+                                   strict_rows, verify_rows)
 
 XOR2 = TruthVector(2, (0, 1, 1, 0))
 
@@ -542,6 +542,42 @@ def test_a_cz_from_an_idle_qubit_flips_no_sign():
         assert trace[:2] + trace[3:] == bloch_trace(bare, bits)
 
 
+@pytest.mark.parametrize("basis", ["X", "Y"])
+def test_verify_quantum_rows_where_the_target_holds_an_input_and_its_czs_reflect(basis):
+    # retargeted onto x_n, so t(x) = x_n, and the CZs leave a reflection
+    # (s = 1) where x1 = 1, or where x1 xor x2 = 1; row 3 of the first word
+    # and 3 and 5 of the second have t = s = 1.  In the first word U_x is Z
+    # on the s = 1 rows and w - turn is 0 on every row, so only the |1>
+    # column's -i * (w + turn) shows the reflection
+    half = Rot(Fraction(1, 2))
+    cases = [
+        (CascadeWord(2, (half, Refl({1}), half), target_var=2), (1, 0, 0, 1),
+         ["p=1", "p=1", "p=1 dU=4", "p=1 dU=4"]),
+        (CascadeWord(3, (half, Refl({1}), half, Refl({2}), Rot(Fraction(1, 3))), target_var=3),
+         (1, 0, 0, 1, 0, 1, 1, 0), ["p=0.75", "p=0.75", "p=0.25", "p=0.25"] * 2),
+    ]
+    for word, values, texts in cases:
+        circ, truth = map_to_circuit(word, basis=basis), TruthVector(word.n_vars, values)
+        rows = verify_quantum(circ, truth).rows
+        assert [row.got for row in rows] == texts
+        assert list(rows) == [quantum_row(circ, bits, want) for bits, want in
+                              zip(itertools.product((0, 1), repeat=truth.n), values)]
+
+
+@pytest.mark.parametrize("layout", [
+    ((1, 2), (2, 2)),  # two inputs on one qubit
+    ((2, 2), (2, 1)),  # x2 twice, and no x1
+    ((1, 7), (2, 2)),  # x1 off the 3-qubit circuit
+    ((0, 1), (2, 2)),  # x0, which bloch_trace would read as the last bit
+    ((1, 1), (3, 2)),  # x3 in a 2-input layout
+])
+def test_circuit_rejects_a_layout_no_circuit_can_have(layout):
+    circ = xor_circuit()
+    assert verify_quantum(circ, XOR2).passed
+    with pytest.raises(ValueError, match=r"is not x1\.\.x2 on distinct circuit qubits"):
+        replace(circ, layout=layout)
+
+
 @pytest.mark.parametrize("gates, value, ok, got", [
     ((), 0, True, "p=1"),
     ((), 1, False, "p=0"),
@@ -619,7 +655,7 @@ def test_verify_quantum_rejects_truth_of_another_width(truth):
 
 def test_bloch_trace_starts_at_pole():
     circ = QCircuit(1, (), 0)
-    assert bloch_trace(circ, ()) == [BlochPoint(0.0, 0.0)]
+    assert bloch_trace(circ, ()) == [BlochPoint(0.0, 0.0)] == [(0.0, 0.0)]
 
 
 def test_bloch_trace_rx_lands_on_lower_meridian():
