@@ -109,8 +109,7 @@ class QCircuit:
                 or len({q for _, q in self.layout} & set(range(self.num_qubits))) != k):
             raise ValueError(f"layout {self.layout} is not x1..x{k} on distinct circuit qubits")
         kinds = set()
-        # once per distinct gate object: map_to_circuit shares equal gates
-        for g in {id(g): g for g in self.gates}.values():
+        for g in self.gates:
             if g.target != target:
                 raise ValueError(f"{g.kind} on q[{g.target}] is off the target q[{target}]")
             if g.control is not None and g.control >= self.num_qubits:
@@ -198,23 +197,15 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
     w = np.ones(1 << n, dtype=complex)
     imag = w.imag  # a view: a CZ scales it in place, with no write-back to w
     mask = 0  # the qubits that control an odd number of CZs
-    # one factor per distinct rotation and one sign vector per distinct CZ,
-    # keyed by gate identity (map_to_circuit shares equal gates); a CZ from
-    # a qubit that holds no input sees |0> and flips no sign
-    ops: dict[int, np.ndarray | complex] = {}
+    # a CZ from a qubit that holds no input sees |0> and flips no sign
+    sign_of = {q: 1.0 - 2.0 * bits for q, bits in bit_of.items()}
     for gate in circuit.gates:
-        op = ops.get(id(gate))
-        if op is None:
-            if gate.kind == CZ:
-                op = 1.0 - 2.0 * bit_of.get(gate.control, 0)
-            else:
-                op = cmath.exp(0.5j * gate.angle)
-            ops[id(gate)] = op
-        if gate.kind == CZ:
-            imag *= op
-            mask ^= 1 << gate.control
+        if gate.kind != CZ:
+            w *= cmath.exp(0.5j * gate.angle)
         else:
-            w *= op
+            mask ^= 1 << gate.control
+            if gate.control in sign_of:
+                imag *= sign_of[gate.control]
     want = np.array(truth.values)
     start = bit_of.get(circuit.target_qubit, 0)
     p_one = np.where(start, w.real, w.imag) ** 2  # Im(U_x|t>)^2

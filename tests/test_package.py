@@ -1,6 +1,9 @@
 """The package's public names: everything ``__all__`` lists is importable,
-and ``python -m qcascade`` runs the command line."""
+every console script resolves, and ``python -m qcascade`` runs the command
+line."""
 
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,24 @@ def test_every_public_name_resolves():
     for name in qcascade.__all__:
         assert hasattr(qcascade, name), name
     exec("from qcascade import *", {})
+
+
+def test_every_console_script_resolves():
+    """Each ``[project.scripts]`` target imports and is callable, so an
+    installed ``qcascade`` command finds its function.  The section is read
+    line by line: Python 3.10 has no ``tomllib``."""
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    targets = []
+    for line in lines[lines.index("[project.scripts]") + 1:]:
+        if line.startswith("["):
+            break
+        if line.strip():
+            match = re.fullmatch(r'([\w-]+) = "([\w.]+):(\w+)"', line)
+            assert match, line
+            targets.append(match.groups())
+    assert targets
+    for name, module, attr in targets:
+        assert callable(getattr(importlib.import_module(module), attr, None)), name
 
 
 def test_python_dash_m_runs_the_cli():

@@ -715,17 +715,28 @@ def test_interaction_graph_deduplicates_edges():
     assert interaction_graph(circ) == ((0, 1),)
 
 
-def test_interaction_graph_same_for_shared_and_fresh_gates():
+def test_no_result_depends_on_gate_sharing():
+    """map_to_circuit shares one Gate object between equal gates; a copy of
+    the circuit with one fresh object per gate checks, traces and prints
+    the same, faulty circuits included."""
     rng = random.Random(29)
-    circuits = []
+    cases = []
     for n in range(1, 7):
         truth = TruthVector(n, [rng.getrandbits(1) for _ in range(1 << n)])
-        circuits.append(map_to_circuit(simplify(canonical_cascade(spectrum_exact(truth)))))
-    for circuit in circuits:
-        fresh = QCircuit(circuit.num_qubits, tuple(replace(g) for g in circuit.gates),
-                         circuit.target_qubit, circuit.layout)
-        assert len({id(g) for g in fresh.gates}) == len(fresh.gates)
-        assert interaction_graph(fresh) == interaction_graph(circuit)
+        cases.append((_compiled(truth, "X", False), truth))
+    odd = TruthVector(4, [b for _ in range(8) for h in [rng.getrandbits(1)] for b in (h, 1 - h)])
+    cases.append((_compiled(odd, "Y", True), odd))
+    for circuit, truth in cases:
+        assert len({id(g) for g in circuit.gates}) == len(set(circuit.gates))
+        for shared in [circuit] + _planted_faults(rng, circuit):
+            fresh = replace(shared, gates=tuple(replace(g) for g in shared.gates))
+            assert len({id(g) for g in fresh.gates}) == len(fresh.gates)
+            assert verify_quantum(fresh, truth).rows == verify_quantum(shared, truth).rows
+            assert to_qasm(fresh) == to_qasm(shared)
+            assert interaction_graph(fresh) == interaction_graph(shared)
+            for x in rng.sample(range(1 << truth.n), min(3, 1 << truth.n)):
+                bits = format(x, f"0{truth.n}b")
+                assert bloch_trace(fresh, bits) == bloch_trace(shared, bits)
 
 
 def test_qasm_golden_for_reduced_xor():
