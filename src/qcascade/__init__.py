@@ -3,7 +3,7 @@
 The pipeline: Walsh spectrum (exact rational or modular), canonical
 rotation-reflection cascade over a dihedral group, local-rewrite
 simplification, optional symmetry reduction, mapping to RX/RY + CZ gates,
-and verification: an EQB circuit is checked twice, by exact group
+and verification: an EQB circuit is checked twice, exactly, by group
 evaluation and a unitary check, an MGD job once, by group evaluation.
 """
 

@@ -18,9 +18,9 @@ from .spectral import TruthVector, WalshSpectrum, spectrum_exact, spectrum_mod
 from .words import EQB, MGD, CascadeWord
 
 MAX_VARS_DEFAULT = 10
-# R(2*pi*k/d) and R(2*pi*(k+1)/d) differ by a squared entry of about (pi/d)**2,
-# 9.19e-9 here, about 9x quantum.VERIFY_TOL: above d ~ 99,000 a word one Rot(1)
-# off would pass a unitary check, so no job names a group it cannot resolve
+# the unitary check is exact at any order, so this cap is no limit of it: it
+# keeps the accepted jobs as they were, and up to it a rotation one step off
+# reads p <= cos(pi/d)**2 = 1 - 9.19e-9, short of 1 - quantum.VERIFY_TOL
 MAX_DIHEDRAL_N = 2**15 - 1
 REPORT_SCHEMA_VERSION = 3
 # emit target -> (file name, the file's text for a report)

@@ -11,9 +11,10 @@ All arithmetic runs in the RY frame, on z = a + i*b for the target's real
 state (a, b): RY(theta) multiplies z by e^(i*theta/2), and a CZ whose
 control is 1 conjugates z, as D_n rotates and reflects the plane.  So a
 row's gates multiply to one a^r g^s, which sends z to w*z, or to w*conj(z)
-when s = 1.  An RX circuit is the RY circuit, same angles, conjugated by
-S = diag(1, i), as S RX(theta) S^dag = RY(theta) and S Z S^dag = Z: from
-|0> or |1> its target is in the state (a, -i*b), up to a global phase.
+when s = 1, with w = e^(i*r/2) and r their exact signed angle sum.  An RX
+circuit is the RY circuit, same angles, conjugated by S = diag(1, i), as
+S RX(theta) S^dag = RY(theta) and S Z S^dag = Z: from |0> or |1> its
+target is in the state (a, -i*b), up to a global phase.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .cascade import VerificationReport, VerificationRow
 from .spectral import TruthVector
@@ -171,62 +170,61 @@ def map_to_circuit(word: CascadeWord, basis: str = "X") -> QCircuit:
 
 
 def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
-    """Unitary check: every row's whole 2x2 target unitary U_x must be
+    """Exact unitary check: every row's whole 2x2 target unitary U_x must be
     R(pi * b(x)) about the circuit's rotation axis, where b(x) = F(x) xor
     t(x) and t(x) is the target's own input bit (0 with the ancilla).
+    ``truth.n`` must equal the circuit's number of inputs.
 
-    Row x passes when the target, started in |t(x)>, reads F(x) with
-    probability p >= 1 - VERIFY_TOL, and every entry of U_x - R(pi * b(x))
-    has squared modulus <= VERIFY_TOL; the row's text is "p=<p>", with
-    " dU=<largest squared entry>" appended when only the unitary comparison
-    fails.  ``truth.n`` must equal the circuit's number of inputs.
-
-    All rows run at once, in the a^r g^s form of the module docstring: one
-    complex vector w, from 1, and one reflection bit s per row, so U_x|0>
-    is w_x and U_x|1> is i * (-1)^s_x * w_x.  An RX circuit runs as its RY
-    circuit: the S conjugation changes only the phases of U_x's entries,
-    and maps the expected RX(pi * b) to RY(pi * b).
+    U_x is R(pi * theta_x / D) g^s_x: D is the lcm of the ``pi_frac``
+    denominators, s_x the parity of the CZs whose control reads 1 on row x,
+    and theta_x the sum of the numerators over D, each negated where an odd
+    number of those CZs follow it.  One reverse pass adds each numerator to
+    the bucket keyed by the row bits of the CZ controls after it, and a
+    Walsh transform of the buckets gives every theta_x.  Row x passes
+    exactly when s_x = 0 and theta_x = b(x) * D (mod 4D).  With r the
+    residue of theta_x - b(x) * D in [-2D, 2D) and phi = pi * r / (2D), its
+    text is "p=<p>", p = cos(phi)^2 being the probability that the target,
+    started in |t(x)>, reads F(x), and a failing row with p >= 1 -
+    VERIFY_TOL adds " dU=<d>", d the largest squared entry of U_x -
+    R(pi * b(x)): max((1 - cos phi)^2, sin(phi)^2, s_x * (1 + |cos phi|)^2).
     """
     if not truth.is_boolean:
         raise ValueError("quantum verification expects a Boolean truth vector")
     n = truth.n
     if len(circuit.layout) != n:
         raise ValueError(f"circuit reads {len(circuit.layout)} input bits, truth vector has {n}")
-    # row x holds input x_v at bit n - v
-    bit_of = {q: (np.arange(1 << n) >> (n - v)) & 1 for v, q in circuit.layout}
-    w = np.ones(1 << n, dtype=complex)
-    imag = w.imag  # a view: a CZ scales it in place, with no write-back to w
-    mask = 0  # the qubits that control an odd number of CZs
-    # a CZ from a qubit that holds no input sees |0> and flips no sign
-    sign_of = {q: 1.0 - 2.0 * bits for q, bits in bit_of.items()}
-    for gate in circuit.gates:
-        if gate.kind != CZ:
-            w *= cmath.exp(0.5j * gate.angle)
+    # row x holds input x_v at bit n - v; a qubit that holds no input stays |0>
+    row_bit = {q: 1 << (n - v) for v, q in circuit.layout}
+    den = math.lcm(*{g.pi_frac.denominator for g in circuit.gates if g.kind != CZ})
+    angle, key = [0] * (1 << n), 0  # key: the row bits of the CZ controls after the gate
+    for gate in reversed(circuit.gates):
+        if gate.kind == CZ:
+            key ^= row_bit.get(gate.control, 0)
         else:
-            mask ^= 1 << gate.control
-            if gate.control in sign_of:
-                imag *= sign_of[gate.control]
-    want = np.array(truth.values)
-    start = bit_of.get(circuit.target_qubit, 0)
-    p_one = np.where(start, w.real, w.imag) ** 2  # Im(U_x|t>)^2
-    p_want = np.where(want == 1, p_one, 1.0 - p_one)
-    # R(pi * b) sends 1 to turn = i^b and i to i * turn, so U_x|1> - R|1> is
-    # i * (w - turn), or -i * (w + turn) when s = 1: an odd count of mask bits read 1
-    turn = np.where(want ^ start, 1j, 1)
-    diff = w - turn
-    dist = np.maximum(diff.real ** 2, diff.imag ** 2)
-    if mask:  # never in a compiled circuit: each input controls an even number of CZs
-        diff = (w + turn) * (sum(bits for q, bits in bit_of.items() if mask >> q & 1) & 1)
-        dist = np.maximum(dist, np.maximum(diff.real ** 2, diff.imag ** 2))
-    p_ok = p_want >= 1.0 - VERIFY_TOL
-    ok = p_ok & (dist <= VERIFY_TOL)
-    p_list = p_want.tolist()
-    text_of = {p: f"p={p:.12g}" for p in set(p_list)}  # few distinct values
-    got = [text_of[p] for p in p_list]
-    for i in np.flatnonzero(p_ok & ~ok).tolist():
-        got[i] += f" dU={dist[i]:.12g}"
-    return VerificationReport("quantum", tuple(map(
-        VerificationRow, map(str, truth.values), got, ok.tolist())))
+            angle[key] += gate.pi_frac.numerator * (den // gate.pi_frac.denominator)
+    # Walsh transform in place: entry i of the two halves gives 2i (sum) and 2i + 1
+    half = len(angle) >> 1
+    for _ in range(n):
+        low, high = angle[:half], angle[half:]
+        angle[0::2] = map(operator.add, low, high)
+        angle[1::2] = map(operator.sub, low, high)
+    t = row_bit.get(circuit.target_qubit, 0)
+    rows, row_of = [], {}
+    for x, (f, theta) in enumerate(zip(truth.values, angle)):
+        r = (theta - (f ^ ((x & t) != 0)) * den + 2 * den) % (4 * den) - 2 * den
+        s = (x & key).bit_count() & 1
+        row = row_of.get((f, r, s))
+        if row is None:  # few distinct cases: format each once
+            phi = math.pi * r / (2 * den)
+            p = (1.0 + math.cos(2 * phi)) / 2
+            ok = r == 0 and not s
+            got = f"p={p:.12g}"
+            if not ok and p >= 1.0 - VERIFY_TOL:
+                c = math.cos(phi)
+                got += f" dU={max((1 - c) ** 2, math.sin(phi) ** 2, s * (1 + abs(c)) ** 2):.12g}"
+            row = row_of[f, r, s] = VerificationRow(str(f), got, ok)
+        rows.append(row)
+    return VerificationReport("quantum", tuple(rows))
 
 
 class BlochPoint(NamedTuple):

@@ -21,7 +21,7 @@ class TruthVector:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # index() takes ints and numpy ints; int() would truncate floats and parse strings
+        # index() takes any integer type; int() would truncate floats and parse strings
         object.__setattr__(self, "values", tuple(operator.index(v) for v in self.values))
         if self.n < 0:
             raise ValueError("variable count must be non-negative")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 
 from qcascade.cascade import (canonical_cascade, detect_symmetry, reduce_by_symmetry, simplify,
                               verify_classical)
+from qcascade.cli import parse_job, run_pipeline
 from qcascade.quantum import (CZ, RX, RY, BlochPoint, Gate, QCircuit, bloch_trace,
                               bloch_trace_csv, interaction_graph, map_to_circuit, to_qasm,
                               verify_quantum)
@@ -593,6 +595,26 @@ def test_verify_quantum_without_inputs(gates, value, ok, got):
     (row,) = verify_quantum(circ, truth).rows
     assert (row.ok, row.got) == (ok, got)
     assert [row.ok] == [ok for ok, _ in strict_rows(circ, truth)]
+
+
+def test_verify_quantum_fails_a_rotation_one_eqb_step_off():
+    # one step of 1/2^16 half-turns is a squared entry of (pi/2^17)^2 =
+    # 5.7e-10, under VERIFY_TOL, and the exact check fails it all the same
+    step = Fraction(1, 2 ** 16)
+    circ = QCircuit(1, (Gate(RY, 0, pi_frac=1 + step),), 0)
+    (row,) = verify_quantum(circ, TruthVector(0, [1])).rows
+    assert row == ("1", "p=0.999999999426 dU=5.74486586219e-10", False)
+    # the compiled n = 16 circuit of acceptance criterion 8's generator, seed 8
+    rng = random.Random(8)
+    doc = {"n": 16, "truth": "".join(str(rng.getrandbits(1)) for _ in range(1 << 16))}
+    report = run_pipeline(parse_job(json.dumps(doc), allow_large=True))
+    assert report.passed
+    gates = list(report.circuit.gates)
+    i = next(i for i, g in enumerate(gates) if g.kind != CZ)
+    gates[i] = Gate(gates[i].kind, gates[i].target, pi_frac=gates[i].pi_frac + step)
+    rows = verify_quantum(replace(report.circuit, gates=tuple(gates)), report.job.truth).rows
+    assert {row.got for row in rows} == {"p=0.999999999426 dU=5.74486586219e-10"}
+    assert not any(row.ok for row in rows)
 
 
 # gate lists that are not a star around target q[0]: QCircuit refuses each

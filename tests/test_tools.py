@@ -146,3 +146,19 @@ def test_sweep_eqb_names_the_first_failing_row(monkeypatch, capsys):
     truths = ["".join(t) for t in itertools.product("01", repeat=4)]
     assert lines[:16] == [f"FAIL truth={t}: quantum row 10: expected {t[2]}, got p=0" for t in truths]
     assert lines[16].startswith("n=2: 16 functions, 16 failures, ")
+
+
+def test_the_unitary_check_shares_no_arithmetic_with_the_compiler():
+    # spectral.fwht computes the spectrum and the classical fold, so an
+    # error in it can cancel in that fold (a bit-reversed output does):
+    # quantum.py keeps its own Walsh transform, and needs no numpy
+    tree = ast.parse((ROOT / "src" / "qcascade" / "quantum.py").read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            taken.update(f"{base}.{alias.name}" for alias in node.names)
+    assert not [name for name in taken if name.split(".")[0] == "numpy"]
+    assert [name for name in taken if "spectral" in name] == [".spectral.TruthVector"]

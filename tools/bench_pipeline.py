@@ -40,8 +40,6 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 from qcascade.cli import SynthesisReport, emit, parse_job, run_pipeline
 from qcascade.quantum import CZ, bloch_trace_csv
 
@@ -114,7 +112,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_pipeline.json")
     args = parser.parse_args(argv)
     result = {"host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                       "python": platform.python_version(), "numpy": np.__version__},
+                       "python": platform.python_version()},
               "seeds": list(SEEDS),
               "sizes": {}}
     for n in args.sizes:
