@@ -445,6 +445,7 @@ _PARSER = build_parser()
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
+    doc = {}
     if args.jobfile:
         try:
             text = (sys.stdin.read() if args.jobfile == "-"
@@ -452,62 +453,46 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         except UnicodeDecodeError as e:
             raise JobError(f"job file is not UTF-8: {e}") from None
         doc = _load_object(text)
-    else:
-        doc = {}
-        if args.n is None or args.truth is None:
-            raise JobError("give a job file or both --n and --truth")
+    elif args.n is None or args.truth is None:
+        raise JobError("give a job file or both --n and --truth")
     # a flag's dest is its job field, so JobSpec judges it as it judges the document's
     doc.update((key, value) for key in _JOB_FIELDS
                if (value := getattr(args, key, None)) is not None)
-    return _job_from_mapping(doc, allow_large=args.force_large)
+    job = _job_from_mapping(doc, allow_large=args.force_large)
+    if args.command == "trace" and job.trace_input is None:
+        raise JobError("trace needs --input (or field 'trace_input')")
+    if args.command != "synth" and job.emit:
+        raise JobError(f"only synth emits artifacts; drop --emit (or field 'emit') "
+                       f"from this {args.command} job")
+    return job
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_intermixed_args(argv)
     try:
         job = _job_from_args(args)
-    except (JobError, OSError) as e:
-        print(f"qcascade: error: {e}", file=sys.stderr)
-        return 1
-    if args.command == "trace" and job.trace_input is None:
-        print("qcascade: error: trace needs --input (or field 'trace_input')", file=sys.stderr)
-        return 1
-    if args.command != "synth" and job.emit:
-        print(f"qcascade: error: only synth emits artifacts; drop --emit (or field 'emit') "
-              f"from this {args.command} job", file=sys.stderr)
-        return 1
-
-    if args.command == "spectrum":
-        print(_spectrum(job))
-        return 0
-
-    try:
+        if args.command == "spectrum":
+            print(_spectrum(job))
+            return 0
         report = run_pipeline(job)
-    except PipelineError as e:
+        if args.command == "trace":
+            print(bloch_trace_csv(report.circuit, job.trace_input), end="")
+        elif args.command == "verify":
+            for check in report.checks:
+                for x, row in enumerate(check.rows):
+                    print(f"{check.kind} {_row_text(check, x)} [{'ok' if row.ok else 'MISMATCH'}]")
+            for check in report.checks:
+                if check.first_failure is not None:
+                    print(f"{check.kind} first failure {_row_text(check, check.first_failure)}")
+            print(f"result: {'PASS' if report.passed else 'FAIL'}")
+        else:
+            print_report(report)
+            if job.emit:
+                for target, path in emit(report, job.emit, args.out_dir).items():
+                    print(f"wrote {target}: {path}")
+    except (JobError, OSError, PipelineError) as e:
         print(f"qcascade: error: {e}", file=sys.stderr)
         return 1
-
-    if args.command == "trace":
-        print(bloch_trace_csv(report.circuit, job.trace_input), end="")
-    elif args.command == "verify":
-        for check in report.checks:
-            for x, row in enumerate(check.rows):
-                print(f"{check.kind} {_row_text(check, x)} [{'ok' if row.ok else 'MISMATCH'}]")
-        for check in report.checks:
-            if check.first_failure is not None:
-                print(f"{check.kind} first failure {_row_text(check, check.first_failure)}")
-        print(f"result: {'PASS' if report.passed else 'FAIL'}")
-    else:
-        print_report(report)
-        if job.emit:
-            try:
-                written = emit(report, job.emit, args.out_dir)
-            except OSError as e:
-                print(f"qcascade: error: {e}", file=sys.stderr)
-                return 1
-            for target, path in written.items():
-                print(f"wrote {target}: {path}")
-
     return 0 if report.passed else 2
 
 

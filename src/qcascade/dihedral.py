@@ -13,10 +13,11 @@ with words composed left to right.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .spectral import _signed_mod, fwht
+from .spectral import _signed_mod
 from .words import CascadeWord, Rot
 
 
@@ -38,6 +39,19 @@ def format_element(e: GroupElement, order: int | None = None) -> str:
     if k == 0:
         return "g" if e.refl else "I"
     return f"a^{k} g" if e.refl else f"a^{k}"
+
+
+def _walsh(values: list) -> list:
+    """Walsh-Hadamard transform of a power-of-two-length list, in place; returns
+    the list.  The oracles' own: the compiler's spectra take another transform,
+    so an error in one cannot cancel in a check of the other.  Each pass sets
+    entries 2i and 2i + 1 to the sum and difference of entry i of the halves."""
+    half = len(values) >> 1
+    for _ in range(half.bit_length()):
+        low, high = values[:half], values[half:]
+        values[0::2] = map(operator.add, low, high)
+        values[1::2] = map(operator.sub, low, high)
+    return values
 
 
 def evaluate_word(word: CascadeWord) -> list[GroupElement]:
@@ -69,12 +83,11 @@ def evaluate_word(word: CascadeWord) -> list[GroupElement]:
             for v in letter.controls:
                 # x1 is the most significant bit of the row index
                 mask ^= 1 << (n - v)
-    keys = list(zip(fwht(buckets), [(x & mask).bit_count() & 1 == 1 for x in range(1 << n)]))
-    # one object per distinct element; in D_n several nets share a residue
-    order = word.order
-    shared: dict[GroupElement, GroupElement] = {}
-    element = {}
-    for net, refl in set(keys):
-        e = GroupElement(Fraction(net, den) if order is None else net % order, refl)
-        element[net, refl] = shared.setdefault(e, e)
+    nets, order = _walsh(buckets), word.order
+    if order is not None:  # in D_n several nets share a residue
+        nets = [net % order for net in nets]
+    keys = list(zip(nets, [(x & mask).bit_count() & 1 == 1 for x in range(1 << n)]))
+    # one object per distinct element
+    element = {(r, refl): GroupElement(Fraction(r, den) if order is None else r, refl)
+               for r, refl in set(keys)}
     return [element[key] for key in keys]

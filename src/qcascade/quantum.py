@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cascade import VerificationReport, VerificationRow
+from .dihedral import _walsh
 from .spectral import TruthVector
 from .words import CascadeWord, Rot
 
@@ -202,15 +203,9 @@ def verify_quantum(circuit: QCircuit, truth: TruthVector) -> VerificationReport:
             key ^= row_bit.get(gate.control, 0)
         else:
             angle[key] += gate.pi_frac.numerator * (den // gate.pi_frac.denominator)
-    # Walsh transform in place: entry i of the two halves gives 2i (sum) and 2i + 1
-    half = len(angle) >> 1
-    for _ in range(n):
-        low, high = angle[:half], angle[half:]
-        angle[0::2] = map(operator.add, low, high)
-        angle[1::2] = map(operator.sub, low, high)
     t = row_bit.get(circuit.target_qubit, 0)
     rows, row_of = [], {}
-    for x, (f, theta) in enumerate(zip(truth.values, angle)):
+    for x, (f, theta) in enumerate(zip(truth.values, _walsh(angle))):
         r = (theta - (f ^ ((x & t) != 0)) * den + 2 * den) % (4 * den) - 2 * den
         s = (x & key).bit_count() & 1
         row = row_of.get((f, r, s))

@@ -991,6 +991,20 @@ def test_main_exits_one_on_a_pipeline_failure(verb, monkeypatch, capsys):
     assert err == "qcascade: error: stage 'map': boom\n"
 
 
+@pytest.mark.parametrize("verb", [["synth"], ["verify"], ["spectrum"], ["trace", "--input", "10"]],
+                         ids=["synth", "verify", "spectrum", "trace"])
+def test_main_exits_one_when_stdout_cannot_be_written(verb, monkeypatch, capsys):
+    """A failed write to stdout, such as on a full disk, ends the run with
+    exit code 1 and one error line, never with a traceback."""
+    class FullStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("sys.stdout", FullStdout())
+    assert main([*verb, "--n", "2", "--truth", "0110"]) == 1
+    assert capsys.readouterr().err == "qcascade: error: [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize("verb", ["verify", "spectrum", "trace"])
 def test_main_rejects_emit_outside_synth_before_the_pipeline(verb, tmp_path, monkeypatch, capsys):
     import qcascade.cli as cli

@@ -3,13 +3,16 @@ import importlib
 import importlib.util
 import itertools
 import json
+import random
 import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+from qcascade import spectral
 from qcascade.cascade import VerificationReport, VerificationRow
-from qcascade.cli import JobSpec, build_parser
+from qcascade.cli import JobSpec, build_parser, run_pipeline
+from reference_fold import classical_row
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -148,11 +151,8 @@ def test_sweep_eqb_names_the_first_failing_row(monkeypatch, capsys):
     assert lines[16].startswith("n=2: 16 functions, 16 failures, ")
 
 
-def test_the_unitary_check_shares_no_arithmetic_with_the_compiler():
-    # spectral.fwht computes the spectrum and the classical fold, so an
-    # error in it can cancel in that fold (a bit-reversed output does):
-    # quantum.py keeps its own Walsh transform, and needs no numpy
-    tree = ast.parse((ROOT / "src" / "qcascade" / "quantum.py").read_text())
+def _imported_names(module: str) -> set[str]:
+    tree = ast.parse((ROOT / "src" / "qcascade" / f"{module}.py").read_text())
     taken = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -160,5 +160,49 @@ def test_the_unitary_check_shares_no_arithmetic_with_the_compiler():
         elif isinstance(node, ast.ImportFrom):
             base = "." * node.level + (node.module or "")
             taken.update(f"{base}.{alias.name}" for alias in node.names)
+    return taken
+
+
+def test_the_unitary_check_shares_no_arithmetic_with_the_compiler():
+    # spectral.fwht computes the spectra, so an error in it could cancel in
+    # an oracle that used it too (a bit-reversed output does, in the fold):
+    # both oracles take dihedral's own Walsh transform, and need no numpy
+    taken = _imported_names("quantum")
     assert not [name for name in taken if name.split(".")[0] == "numpy"]
     assert [name for name in taken if "spectral" in name] == [".spectral.TruthVector"]
+    taken = _imported_names("dihedral")
+    assert not [name for name in taken if name.split(".")[0] == "numpy"]
+    assert {name for name in taken if "spectral" in name} <= {".spectral._signed_mod",
+                                                               ".spectral.TruthVector"}
+
+
+def _bit_reversed(transform):
+    def reversed_transform(values):
+        out = transform(values)
+        width = len(out).bit_length() - 1
+        return [out[int(f"{x:0{width}b}"[::-1], 2)] for x in range(len(out))]
+    return reversed_transform
+
+
+def test_a_bit_reversed_compiler_transform_fails_every_wrong_job(monkeypatch):
+    # one fault in spectral.fwht, put wherever a module holds the name: the
+    # permuted spectra compile F at the bit-reversed row, so every job whose
+    # F is not reversal-invariant gets a wrong word, which its checks must fail
+    fwht = spectral.fwht
+    patched = [name for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "qcascade" and getattr(module, "fwht", None) is fwht]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "fwht", _bit_reversed(fwht))
+    assert "qcascade.spectral" in patched
+    rng = random.Random(5)
+    wrong = {"eqb": 0, "mgd": 0}
+    for n in (3, 4, 5):
+        for mode, d in (("eqb", None), ("mgd", 5)):
+            for _ in range(8):
+                truth = [rng.randrange(d or 2) for _ in range(1 << n)]
+                report = run_pipeline(JobSpec(n=n, truth=truth, mode=mode, dihedral_n=d))
+                right = all(classical_row(report.word, bits, want)[2]
+                            for bits, want in zip(itertools.product((0, 1), repeat=n), truth))
+                assert report.passed == right, (mode, truth)
+                wrong[mode] += not right
+    assert min(wrong.values()) >= 20, wrong
